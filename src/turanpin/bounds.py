@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from turanpin.graphs import Graph, count_cherries
+from turanpin.mis import DEFAULT_NODE_BUDGET, max_independent_set
 
 # psi(1 + eps) = 1/2 - eps/6 + eps^2/12 - eps^3/20 + eps^4/30 - ...
 # (alternating, coefficient 1/((j+1)(j+2))); used near the removable
@@ -63,20 +64,25 @@ class GammaUndefinedError(ValueError):
         )
 
 
-def _slack(p: Graph) -> int:
-    """floor(n^2/4) - e - cherries; must be positive for gamma to exist."""
+def _gamma_terms(p: Graph) -> tuple[int, float, float]:
+    """(slack, gamma, gamma * d) with slack = floor(n^2/4) - e - cherries.
+
+    Raises GammaUndefinedError when the slack is not positive.
+    """
     n = p.n
     if n < 2:
         raise ValueError(f"need n >= 2, got n = {n}")
-    return (n * n) // 4 - p.edge_count - count_cherries(p)
+    cherries = count_cherries(p)
+    slack = (n * n) // 4 - p.edge_count - cherries
+    if slack <= 0:
+        raise GammaUndefinedError(n, p.edge_count, cherries)
+    # gamma * d = 2 e (n-2) / slack, formed in one division from integers
+    return slack, n * (n - 2) / slack, 2 * p.edge_count * (n - 2) / slack
 
 
 def gamma(p: Graph) -> float:
     """n(n-2) divided by the slack floor(n^2/4) - e - cherries."""
-    slack = _slack(p)
-    if slack <= 0:
-        raise GammaUndefinedError(p.n, p.edge_count, count_cherries(p))
-    return p.n * (p.n - 2) / slack
+    return _gamma_terms(p)[1]
 
 
 def upper_bound(p: Graph, alpha: int) -> Fraction:
@@ -93,12 +99,15 @@ def lower_bound(p: Graph) -> float:
     Raises GammaUndefinedError exactly when gamma does.  For an empty pin
     this returns floor(n^2/4) exactly.
     """
-    slack = _slack(p)
-    if slack <= 0:
-        raise GammaUndefinedError(p.n, p.edge_count, count_cherries(p))
-    # gamma * d = 2 e (n-2) / slack, formed in one division from integers
-    psi_arg = 2 * p.edge_count * (p.n - 2) / slack
+    slack, _, psi_arg = _gamma_terms(p)
     return slack * psi(psi_arg)
+
+
+def shearer_floor(n_vertices: int, avg_degree: float) -> float:
+    """n * psi(d): every triangle-free graph with these parameters has alpha at least this."""
+    if avg_degree < 0:
+        raise ValueError("average degree must be nonnegative")
+    return n_vertices * psi(avg_degree)
 
 
 @dataclass(frozen=True)
@@ -121,8 +130,6 @@ def is_constrained(p: Graph, params: ConstraintParams) -> bool:
     Needs average degree d > 1 (the first inequality is vacuous otherwise).
     alpha is computed exactly, so this can be slow for large pins.
     """
-    from turanpin.mis import max_independent_set
-
     n, e = p.n, p.edge_count
     if n == 0 or 2 * e <= n:
         raise ValueError(f"constrainedness needs average degree > 1, got {2 * e}/{n}")
@@ -183,20 +190,17 @@ class BoundsReport:
 
 def bounds_report(p: Graph, mis_budget: int | None = None) -> BoundsReport:
     """Evaluate both bounds for one pin; alpha degrades to an interval on budget."""
-    from turanpin.mis import DEFAULT_NODE_BUDGET, max_independent_set
-
     if p.n < 3:
         raise ValueError(f"need n >= 3, got n = {p.n}")
     res = max_independent_set(p, budget=mis_budget or DEFAULT_NODE_BUDGET)
     alpha_lo, alpha_hi = res.as_interval()
-    slack = _slack(p)
-    if slack > 0:
-        g = p.n * (p.n - 2) / slack
-        arg = 2 * p.edge_count * (p.n - 2) / slack
+    try:
+        slack, g, arg = _gamma_terms(p)
+    except GammaUndefinedError:
+        g = arg = pv = low = None
+    else:
         pv = psi(arg)
         low = slack * pv
-    else:
-        g = arg = pv = low = None
     return BoundsReport(
         n=p.n,
         e_p=p.edge_count,
@@ -210,5 +214,5 @@ def bounds_report(p: Graph, mis_budget: int | None = None) -> BoundsReport:
         psi_value=pv,
         upper_bound=upper_bound(p, alpha_hi),
         lower_bound=low,
-        lower_bound_defined=slack > 0,
+        lower_bound_defined=low is not None,
     )

@@ -4,8 +4,8 @@ Subcommands: bounds, construct, exact, scaling, worst-case, sample.
 
 Exit codes: 0 success; 1 parse/config error; 2 semantic input error (for
 example a pin that is not triangle-free, reported with a witness triangle);
-3 search budget exhausted before certification; 70 internal error (a
-certificate that should always pass failed its re-check).
+3 search budget exhausted before certification; 70 internal error (an
+invariant that should always hold failed, such as a certificate re-check).
 
 Every command is deterministic under a fixed --seed.  Trial-level
 parallelism (--jobs) derives one RNG stream per trial from the master seed,
@@ -29,7 +29,6 @@ from multiprocessing import get_context
 from pathlib import Path
 
 from turanpin.bounds import GammaUndefinedError, bounds_report, lower_bound
-from turanpin.conflict import is_admissible
 from turanpin.construct import MODES, certify, construct_admissible, write_construction
 from turanpin.graphs import (
     Graph,
@@ -246,10 +245,18 @@ class ExperimentConfig:
             raise CliError(EXIT_USAGE, "chain_steps must be >= 0")
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.replace(",", " ").split()]
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.replace(",", " ").split()]
+
+
 _CONFIG_PARSERS = {
     "model": str,
-    "n_values": lambda s: [int(x) for x in s.replace(",", " ").split()],
-    "d_values": lambda s: [float(x) for x in s.replace(",", " ").split()],
+    "n_values": _int_list,
+    "d_values": _float_list,
     "trials": int,
     "seed": int,
     "mis_budget": int,
@@ -327,34 +334,33 @@ def _scaling_trial(spec) -> tuple[str, dict]:
     """One (n, d, trial) cell; returns ('row', ...) or ('fail', ...)."""
     model, n, d, d_idx, trial, seed, mis_budget, chain_steps = spec
     try:
-        rng = derive_rng(seed, n, d_idx, trial)
-        g = _trial_graph(model, n, d, rng, chain_steps)
-        mis = max_independent_set(g, budget=mis_budget)
-        alpha_lo, alpha_hi = mis.as_interval()
-        upper = n * alpha_hi / 2
-        try:
-            lower = lower_bound(g)
-        except GammaUndefinedError:
-            lower = None
-        norm = n * n * math.log(d) / d
-        degs = g.degrees()
-        return (
-            "row",
-            {
-                "n": n,
-                "d": d,
-                "trial": trial,
-                "e_P": g.edge_count,
-                "alpha": alpha_lo,
-                "delta": max(degs) if degs else 0,
-                "lower_bound": lower,
-                "upper_bound": upper,
-                "ratio_lower": None if lower is None else lower / norm,
-                "ratio_upper": upper / norm,
-            },
-        )
-    except Exception as err:  # per-trial failures are logged, not fatal
+        g = _trial_graph(model, n, d, derive_rng(seed, n, d_idx, trial), chain_steps)
+    except ValueError as err:  # infeasible model parameters are logged, not fatal
         return ("fail", {"n": n, "d": d, "trial": trial, "error": f"{type(err).__name__}: {err}"})
+    mis = max_independent_set(g, budget=mis_budget)
+    alpha_lo, alpha_hi = mis.as_interval()
+    upper = n * alpha_hi / 2
+    try:
+        lower = lower_bound(g)
+    except GammaUndefinedError:
+        lower = None
+    norm = n * n * math.log(d) / d
+    degs = g.degrees()
+    return (
+        "row",
+        {
+            "n": n,
+            "d": d,
+            "trial": trial,
+            "e_P": g.edge_count,
+            "alpha": alpha_lo,
+            "delta": max(degs) if degs else 0,
+            "lower_bound": lower,
+            "upper_bound": upper,
+            "ratio_lower": None if lower is None else lower / norm,
+            "ratio_upper": upper / norm,
+        },
+    )
 
 
 def _run_trials(specs, jobs: int, worker):
@@ -639,8 +645,8 @@ def build_parser() -> _Parser:
     p = subs.add_parser("scaling", help="bound-ratio sweep over models of random pins")
     p.add_argument("--config", default=None, help="flat key = value config file")
     p.add_argument("--model", choices=MODELS, default=None)
-    p.add_argument("--n-values", type=lambda s: [int(x) for x in s.replace(",", " ").split()], default=None)
-    p.add_argument("--d-values", type=lambda s: [float(x) for x in s.replace(",", " ").split()], default=None)
+    p.add_argument("--n-values", type=_int_list, default=None)
+    p.add_argument("--d-values", type=_float_list, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mis-budget", type=int, default=None)
@@ -692,6 +698,9 @@ def main(argv=None) -> int:
     except BudgetExhaustedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    except RuntimeError as err:  # a broken internal invariant, not bad input
+        print(f"error: internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
     except GraphFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,6 @@ only its restriction to a given candidate set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -105,31 +104,14 @@ class AuxSlice:
         """Decode a vertex mask of the slice graph back to vertex pairs."""
         return [index_to_pair(self.s_prime[i], self.n) for i in iter_bits(mask)]
 
-    def to_debug_json(self) -> str:
-        degs = [row.bit_count() for row in self.b2_adj]
-        hist: dict[int, int] = {}
-        for d in degs:
-            hist[d] = hist.get(d, 0) + 1
-        return json.dumps(
-            {
-                "n": self.n,
-                "base_edges": self.base.edge_count,
-                "forbidden_size": len(self.forbidden),
-                "slice_size": len(self.s_prime),
-                "slice_edges": self.slice_edge_count(),
-                "slice_degree_histogram": {str(k): hist[k] for k in sorted(hist)},
-            },
-            indent=2,
-        )
 
-
-def build_aux_slice(p: Graph, s: Iterable[int], check_claims: bool = True) -> AuxSlice:
+def build_aux_slice(p: Graph, s: Iterable[int]) -> AuxSlice:
     """Restrict the conflict structure to candidate pairs s.
 
     s must be the edge set (as pair ids) of a triangle-free graph.  The
     returned slice drops pairs that are p-edges or b1 pairs, then wires the
-    b2 adjacency among the survivors.  With ``check_claims`` the slice is
-    re-verified to be triangle-free, which holds for every pin.
+    b2 adjacency among the survivors.  The slice is re-verified to be
+    triangle-free, which holds for every pin.
     """
     n = p.n
     s_ids = set(s)
@@ -153,10 +135,9 @@ def build_aux_slice(p: Graph, s: Iterable[int], check_claims: bool = True) -> Au
         s_prime=s_prime,
         b2_adj=tuple(rows),
     )
-    if check_claims:
-        tri = find_triangle(out.slice_graph())
-        if tri is not None:  # cannot happen for a triangle-free pin
-            raise RuntimeError(f"conflict slice has triangle at positions {tri}")
+    tri = find_triangle(out.slice_graph())
+    if tri is not None:  # cannot happen for a triangle-free pin
+        raise RuntimeError(f"conflict slice has triangle at positions {tri}")
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from turanpin.bounds import GammaUndefinedError, lower_bound, psi
+from turanpin.bounds import GammaUndefinedError, lower_bound, shearer_floor
 from turanpin.conflict import AdmissibilityReport, build_aux_slice, is_admissible
 from turanpin.graphs import (
     Graph,
@@ -80,51 +80,6 @@ def _random_balanced_masks(n: int, rng) -> tuple[int, int]:
     for v in order[:a]:
         left |= 1 << int(v)
     return left, ((1 << n) - 1) ^ left
-
-
-def pin_aware_bipartition(p: Graph) -> tuple[int, int]:
-    """Balanced split that tries to put pin edges across the parts.
-
-    Two-colors each pin component by BFS (odd cycles leave some edges
-    stuck inside a part), packs components to balance the sides, then
-    rebalances with pin-isolated or low-degree vertices.  Heuristic only:
-    used for seeding searches, not for any certified quantity.
-    """
-    n = p.n
-    color = [-1] * n
-    comps = []
-    for v0 in range(n):
-        if color[v0] != -1:
-            continue
-        color[v0] = 0
-        part = [{v0}, set()]
-        queue = [v0]
-        while queue:
-            v = queue.pop()
-            for w in iter_bits(p.adj[v]):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    part[color[w]].add(w)
-                    queue.append(w)
-        comps.append(part)
-    left: set[int] = set()
-    right: set[int] = set()
-    for c0, c1 in sorted(comps, key=lambda c: -(len(c[0]) + len(c[1]))):
-        if abs(len(left | c0) - len(right | c1)) <= abs(len(left | c1) - len(right | c0)):
-            left |= c0
-            right |= c1
-        else:
-            left |= c1
-            right |= c0
-    want = (n + 1) // 2
-    # move vertices that hurt least: pin-isolated first, then low degree
-    while len(left) != want:
-        src, dst = (left, right) if len(left) > want else (right, left)
-        v = min(src, key=lambda u: (p.degree(u), u))
-        src.remove(v)
-        dst.add(v)
-    lmask = sum(1 << v for v in left)
-    return lmask, ((1 << n) - 1) ^ lmask
 
 
 def pin_bipartite_completion(p: Graph) -> Graph | None:
@@ -222,7 +177,7 @@ def construct_admissible(
         raise RuntimeError(f"pipeline produced an inadmissible graph: {report.failed_conditions}")
     if exact and floor is not None:
         # realized slice floor dominates the closed-form floor; both must hold
-        slice_floor = sp * psi(avg)
+        slice_floor = shearer_floor(sp, avg)
         if i_size + _FLOOR_TOL < slice_floor or i_size + _FLOOR_TOL < floor:
             raise RuntimeError(
                 f"exact slice solution {i_size} fell below its floor "

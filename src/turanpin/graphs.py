@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 
@@ -128,17 +126,6 @@ class Graph:
             raise ValueError("cannot shrink a graph by padding")
         return Graph(n, list(self.adj) + [0] * (n - self.n), validate=False)
 
-    def degree_summary(self) -> "DegreeSummary":
-        degs = self.degrees()
-        e = self.edge_count
-        avg = Fraction(2 * e, self.n) if self.n else Fraction(0)
-        return DegreeSummary(
-            degrees=degs,
-            min_degree=min(degs) if degs else 0,
-            max_degree=max(degs) if degs else 0,
-            avg_degree=avg,
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -147,20 +134,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class DegreeSummary:
-    """Degree list with min/max and the exact average 2e/n."""
-
-    degrees: list[int]
-    min_degree: int
-    max_degree: int
-    avg_degree: Fraction
-
-    @property
-    def avg_degree_float(self) -> float:
-        return float(self.avg_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +193,6 @@ def is_triangle_free(g: Graph) -> bool:
 def count_cherries(g: Graph) -> int:
     """Number of two-edge paths: sum over vertices of C(deg, 2)."""
     return sum(math.comb(d, 2) for d in g.degrees())
-
-
-def cherry_identity_holds(g: Graph) -> bool:
-    """Edge count plus cherry count equals half the sum of squared degrees."""
-    return 2 * (g.edge_count + count_cherries(g)) == sum(d * d for d in g.degrees())
 
 
 def subgraph_of(p: Graph, g: Graph) -> bool:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from turanpin.bounds import psi
-from turanpin.graphs import Graph, iter_bits
+from turanpin.graphs import Graph, components, iter_bits
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -37,31 +36,12 @@ class MisResult:
         return (self.size, self.upper_bound)
 
 
-def _components(adj, full: int) -> list[int]:
-    comps = []
-    rem = full
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            grown = 0
-            for v in iter_bits(frontier):
-                grown |= adj[v]
-            frontier = grown & rem & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rem &= ~comp
-    return comps
+def clique_cover_bound(adj, cand: int) -> int:
+    """Greedy clique cover size of the subgraph induced on cand: an upper bound on alpha.
 
-
-def clique_cover_bound(g: Graph, cand: int | None = None) -> int:
-    """Greedy clique cover size of the induced subgraph: an upper bound on alpha."""
-    if cand is None:
-        cand = (1 << g.n) - 1
-    return _cover_bound(g.adj, cand)
-
-
-def _cover_bound(adj, cand: int) -> int:
+    ``adj`` is a sequence of bitset adjacency rows (``Graph.adj`` or a
+    search's working rows).
+    """
     bound = 0
     rem = cand
     while rem:
@@ -78,11 +58,19 @@ def _cover_bound(adj, cand: int) -> int:
     return bound
 
 
-def _greedy_seed(adj, cand: int) -> int:
-    # deterministic min-degree greedy, used to warm-start the incumbent
+def _min_degree_greedy(adj, cand: int, tie_break) -> int:
+    """Maximal independent set in cand by repeated min-degree pick.
+
+    ``tie_break(k)`` chooses among the k tied vertices, listed in
+    increasing order.
+    """
     mask = 0
     while cand:
-        v = min(iter_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+        verts = list(iter_bits(cand))
+        degs = [(adj[v] & cand).bit_count() for v in verts]
+        dmin = min(degs)
+        ties = [v for v, d in zip(verts, degs) if d == dmin]
+        v = ties[tie_break(len(ties))]
         mask |= 1 << v
         cand &= ~((1 << v) | adj[v])
     return mask
@@ -104,10 +92,10 @@ def max_independent_set(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MisResul
     def dfs(cand: int, cur_size: int, cur_mask: int) -> None:
         if exhausted[0]:
             return
-        counter[0] += 1
-        if counter[0] > budget:
+        if counter[0] >= budget:
             exhausted[0] = True
             return
+        counter[0] += 1
         # take every vertex of induced degree <= 1; restart after each
         # degree-1 take since removing its neighbor changes other degrees
         while cand:
@@ -134,7 +122,7 @@ def max_independent_set(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MisResul
             if cur_size > best[0]:
                 best[0], best[1] = cur_size, cur_mask
             return
-        if cur_size + _cover_bound(adj, cand) <= best[0]:
+        if cur_size + clique_cover_bound(adj, cand) <= best[0]:
             return
         v = max(iter_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
         bit = 1 << v
@@ -143,8 +131,9 @@ def max_independent_set(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MisResul
 
     total_size = 0
     total_mask = 0
-    for comp in _components(adj, full):
-        seed = _greedy_seed(adj, comp)
+    for comp in components(g):
+        # lowest-index min-degree greedy warm-starts the incumbent
+        seed = _min_degree_greedy(adj, comp, lambda k: 0)
         best[0], best[1] = seed.bit_count(), seed
         dfs(comp, 0, 0)
         total_size += best[0]
@@ -164,35 +153,10 @@ def max_independent_set(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MisResul
         exact=done,
         nodes_explored=counter[0],
         budget_exhausted=not done,
-        upper_bound=total_size if done else _cover_bound(adj, full),
+        upper_bound=total_size if done else clique_cover_bound(adj, full),
     )
 
 
-def _rand_index(rng, k: int) -> int:
-    # accepts numpy Generator or random.Random
-    if hasattr(rng, "integers"):
-        return int(rng.integers(k))
-    return rng.randrange(k)
-
-
 def greedy_independent_set(g: Graph, rng) -> int:
-    """Maximal independent set by repeated min-degree pick, random tie-break."""
-    adj = g.adj
-    cand = (1 << g.n) - 1
-    mask = 0
-    while cand:
-        verts = list(iter_bits(cand))
-        degs = [(adj[v] & cand).bit_count() for v in verts]
-        dmin = min(degs)
-        ties = [v for v, d in zip(verts, degs) if d == dmin]
-        v = ties[_rand_index(rng, len(ties))]
-        mask |= 1 << v
-        cand &= ~((1 << v) | adj[v])
-    return mask
-
-
-def shearer_floor(n_vertices: int, avg_degree: float) -> float:
-    """n * psi(d): every triangle-free graph with these parameters has alpha at least this."""
-    if avg_degree < 0:
-        raise ValueError("average degree must be nonnegative")
-    return n_vertices * psi(avg_degree)
+    """Maximal independent set by repeated min-degree pick, ties broken by a numpy Generator."""
+    return _min_degree_greedy(g.adj, (1 << g.n) - 1, lambda k: int(rng.integers(k)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from turanpin.conflict import build_b1
 from turanpin.construct import construct_admissible, pin_bipartite_completion
@@ -29,6 +29,7 @@ from turanpin.graphs import (
     subgraph_of,
     to_graph6,
 )
+from turanpin.mis import clique_cover_bound
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
@@ -107,22 +108,6 @@ def greedy_completion(p: Graph) -> Graph:
         rows[v] |= 1 << u
 
 
-def _cover_bound_rows(rows, full: int) -> int:
-    bound = 0
-    rem = full
-    while rem:
-        low = rem & -rem
-        v = low.bit_length() - 1
-        rem ^= low
-        common = rows[v] & rem
-        while common:
-            ulow = common & -common
-            rem ^= ulow
-            common = common & rows[ulow.bit_length() - 1] & ~ulow
-        bound += 1
-    return bound
-
-
 def _seed_graphs(p: Graph) -> list[Graph]:
     seeds = [greedy_completion(p), duplication_seed(p)]
     bip = pin_bipartite_completion(p)
@@ -160,7 +145,7 @@ def exact_ex(p: Graph, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
     for u in range(n):
         for v in range(u + 1, n):
             pid[u][v] = pid[v][u] = pair_to_index(u, v, n)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]  # indexed by pair id
 
     b1 = build_b1(p)
     p_ids = set(p.edge_indices())
@@ -177,7 +162,7 @@ def exact_ex(p: Graph, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
     done = [False]
 
     def bound(rows, cnt, full) -> int:
-        alpha_ub = _cover_bound_rows(rows, full)
+        alpha_ub = clique_cover_bound(rows, full)
         tot = 0
         for v in range(n):
             tot += min(rows[v].bit_count() + cnt[v], alpha_ub)
@@ -188,10 +173,10 @@ def exact_ex(p: Graph, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
     def search(rows, ecur, cand, cnt):
         if done[0]:
             return
-        nodes[0] += 1
-        if nodes[0] > budget:
+        if nodes[0] >= budget:
             done[0] = True
             return
+        nodes[0] += 1
         if ecur > best[0]:
             best[0], best[1] = ecur, list(rows)
             if ecur >= cap:
@@ -209,7 +194,7 @@ def exact_ex(p: Graph, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
             low = m & -m
             k = low.bit_length() - 1
             m ^= low
-            u, v = _unrank(k)
+            u, v = pairs[k]
             kill = 0
             for w in iter_bits(rows[v]):
                 if cand >> pid[u][w] & 1:
@@ -220,7 +205,7 @@ def exact_ex(p: Graph, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
             if kill > best_kill:
                 best_kill, best_k = kill, k
         k = best_k
-        u, v = _unrank(k)
+        u, v = pairs[k]
         bit = 1 << k
 
         # include: add the edge, drop it and everything it now blocks
@@ -251,11 +236,6 @@ def exact_ex(p: Graph, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
         cnt3[u] -= 1
         cnt3[v] -= 1
         search(rows, ecur, cand & ~bit, cnt3)
-
-    _unrank_table = pairs  # pair id -> (u, v), ids are lexicographic
-
-    def _unrank(k):
-        return _unrank_table[k]
 
     search(list(p.adj), p.edge_count, cand0, cnt0)
 
@@ -392,12 +372,7 @@ class WorstCaseResult:
     rows: tuple[WorstCaseRow, ...]
 
 
-def iter_worst_case_rows(
-    m: int,
-    n: int,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-    on_pin: Callable[[Graph], OracleResult] | None = None,
-) -> Iterator[WorstCaseRow]:
+def iter_worst_case_rows(m: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET) -> Iterator[WorstCaseRow]:
     """Stream oracle rows for every enumerated pin; raises when the shared
     node budget runs out, reporting how many pins never finished."""
     if m < 1:
@@ -408,10 +383,7 @@ def iter_worst_case_rows(
     remaining = budget
     for i, support_graph in enumerate(pins):
         pin = support_graph.padded(n)
-        if on_pin is not None:
-            res = on_pin(pin)
-        else:
-            res = exact_ex(pin, budget=remaining)
+        res = exact_ex(pin, budget=remaining)
         if not res.proved:
             raise BudgetExhaustedError(remaining=len(pins) - i, done=i)
         remaining -= res.nodes

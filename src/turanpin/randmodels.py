@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,8 +213,6 @@ class MetropolisChain:
         eset = set(start.edge_indices())
         self.edges = sorted(eset)
         self.nonedges = [k for k in range(total) if k not in eset]
-        self.epos = {k: i for i, k in enumerate(self.edges)}
-        self.npos = {k: i for i, k in enumerate(self.nonedges)}
         self.rng = rng
         self.batch = batch
         self.accepted = 0
@@ -254,10 +251,6 @@ class MetropolisChain:
         rows[fv] |= 1 << fu
         self.edges[eslot] = f
         self.nonedges[nslot] = e
-        self.epos[f] = eslot
-        self.npos[e] = nslot
-        del self.epos[e]
-        del self.npos[f]
         self.accepted += 1
 
 

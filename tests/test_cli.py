@@ -1,13 +1,23 @@
 """CLI contract tests: subcommands, exit codes, config grammar, determinism."""
 
+import csv
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from turanpin.cli import EXIT_BUDGET, EXIT_OK, EXIT_SEMANTIC, EXIT_USAGE, main, parse_config_text
-from turanpin.cli import CliError
+from turanpin.cli import (
+    EXIT_BUDGET,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_SEMANTIC,
+    EXIT_USAGE,
+    CliError,
+    _trial_graph,
+    main,
+    parse_config_text,
+)
 from turanpin.graphs import (
     Graph,
     complete_bipartite,
@@ -16,6 +26,7 @@ from turanpin.graphs import (
     star_graph,
     write_graph,
 )
+from turanpin.randmodels import derive_rng
 
 
 def load_schema(name: str) -> dict:
@@ -145,6 +156,25 @@ def test_exact_budget_exhausted_exit_3(g6, capsys):
     payload = json.loads(out)
     assert payload["proved"] is False and payload["value"] <= 17
     assert "budget" in err
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("invariant broken on purpose")
+
+
+def test_construct_internal_error_exit_70(g6, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("turanpin.cli.construct_admissible", _raise_runtime_error)
+    pin = g6("p.g6", star_graph(2, n=5))
+    code, out, err = run(capsys, ["construct", pin, "--output-dir", str(tmp_path)])
+    assert code == EXIT_INTERNAL and out == ""
+    assert err == "error: internal error: invariant broken on purpose\n"
+
+
+def test_exact_internal_error_exit_70(g6, capsys, monkeypatch):
+    monkeypatch.setattr("turanpin.cli.exact_ex", _raise_runtime_error)
+    code, out, err = run(capsys, ["exact", g6("e5.g6", Graph(5))])
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("error: internal error:") and err.count("\n") == 1
 
 
 def test_bounds_exact_sandwich_same_input(g6, capsys):
@@ -335,6 +365,35 @@ def test_scaling_per_trial_failures_counted(tmp_path, capsys):
     assert summary["failure_count"] == 2 and summary["rows_written"] == 0
     assert summary["drift"][0]["ratio_lower"] is None
     jsonschema.validate(summary, load_schema("scaling_summary.schema.json"))
+
+
+def test_scaling_internal_error_exit_70(tmp_path, capsys, monkeypatch):
+    # an invariant failure inside a trial is not an ordinary trial failure
+    monkeypatch.setattr("turanpin.cli.max_independent_set", _raise_runtime_error)
+    code, _, err = run(
+        capsys,
+        ["scaling", "--model", "process", "--n-values", "10", "--d-values", "2.0",
+         "--trials", "1", "--output-dir", str(tmp_path)],
+    )
+    assert code == EXIT_INTERNAL and "trial failed" not in err
+    assert not (tmp_path / "scaling.summary.json").exists()
+
+
+def test_scaling_delta_is_max_degree(tmp_path, capsys):
+    code, _, _ = run(
+        capsys,
+        ["scaling", "--model", "process", "--n-values", "12 16", "--d-values", "2.0 3.0",
+         "--trials", "2", "--seed", "5", "--output-dir", str(tmp_path)],
+    )
+    assert code == EXIT_OK
+    rows = list(csv.DictReader((tmp_path / "scaling.csv").read_text().splitlines()))
+    assert len(rows) == 8
+    d_index = {2.0: 0, 3.0: 1}
+    for r in rows:
+        n, d, trial = int(r["n"]), float(r["d"]), int(r["trial"])
+        g = _trial_graph("process", n, d, derive_rng(5, n, d_index[d], trial), None)
+        assert int(r["e_P"]) == g.edge_count
+        assert int(r["delta"]) == max(g.degrees())
 
 
 def test_scaling_jobs_byte_identical(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Conflict structure tests: definitions re-checked by brute force."""
 
-import json
 import random
 
 import pytest
@@ -195,15 +194,6 @@ class TestAuxSlice:
         bad = [pair_to_index(*e, n) for e in [(0, 1), (1, 2), (0, 2)]]
         with pytest.raises(ValueError):
             build_aux_slice(Graph.empty(n), bad)
-
-    def test_debug_json_fields(self):
-        p = Graph.from_edges(6, [(0, 3)])
-        left, right = balanced_bipartition(6)
-        sl = build_aux_slice(p, crossing_pairs(left, right, 6))
-        d = json.loads(sl.to_debug_json())
-        assert d["slice_size"] == 8
-        assert d["base_edges"] == 1
-        assert sum(d["slice_degree_histogram"].values()) == 8
 
     def test_pairs_from_mask_round_trip(self):
         p = Graph.empty(4)

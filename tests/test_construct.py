@@ -14,7 +14,6 @@ from turanpin.construct import (
     certify,
     construct_admissible,
     formula_floor,
-    pin_aware_bipartition,
     write_construction,
 )
 from turanpin.graphs import (
@@ -128,28 +127,6 @@ class TestPipeline:
         r = construct_admissible(p, mis_budget=1)
         assert not r.mis_exact
         assert is_admissible(p, r.g)
-
-
-class TestPinAwareSplit:
-    def test_star_center_separated_from_leaves(self):
-        p = star_graph(6, n=9)
-        left, right = pin_aware_bipartition(p)
-        center_side = left if (left >> 0) & 1 else right
-        other = right if center_side == left else left
-        # at least the four leaves that fit stay opposite the center
-        leaves_opposite = sum(1 for v in range(1, 7) if (other >> v) & 1)
-        assert leaves_opposite >= 4
-        assert left.bit_count() == 5 and right.bit_count() == 4
-
-    def test_balanced_parts(self):
-        rng = random.Random(31)
-        for _ in range(50):
-            n = rng.randrange(2, 14)
-            p = random_triangle_free(n, rng)
-            left, right = pin_aware_bipartition(p)
-            assert left & right == 0
-            assert left | right == (1 << n) - 1
-            assert left.bit_count() == (n + 1) // 2
 
 
 class TestCertify:

@@ -1,0 +1,64 @@
+"""Import layering of the package: module imports form a DAG, all at top level."""
+
+import ast
+from importlib import resources
+
+
+def _parsed_modules() -> dict[str, ast.Module]:
+    root = resources.files("turanpin")
+    return {
+        entry.name[: -len(".py")]: ast.parse(entry.read_text())
+        for entry in root.iterdir()
+        if entry.name.endswith(".py")
+    }
+
+
+def _turanpin_targets(node) -> list[str]:
+    """Package module names an import statement reaches, if any."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level:  # relative: "from . import x" or "from .x import y"
+            return [node.module] if node.module else [a.name for a in node.names]
+        names = [node.module or ""]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        return []
+    out = []
+    for n in names:
+        if n == "turanpin":
+            out.append("__init__")
+        elif n.startswith("turanpin."):
+            out.append(n.split(".")[1])
+    return out
+
+
+def test_import_graph_is_acyclic():
+    modules = _parsed_modules()
+    deps = {
+        name: {t for node in tree.body for t in _turanpin_targets(node) if t in modules}
+        for name, tree in modules.items()
+    }
+    state: dict[str, str] = {}
+
+    def visit(name: str, path: list[str]) -> None:
+        if state.get(name) == "done":
+            return
+        assert state.get(name) != "open", f"import cycle: {' -> '.join(path + [name])}"
+        state[name] = "open"
+        for dep in sorted(deps[name]):
+            visit(dep, path + [name])
+        state[name] = "done"
+
+    for name in sorted(deps):
+        visit(name, [])
+
+
+def test_no_function_level_package_imports():
+    for name, tree in _parsed_modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                assert not _turanpin_targets(node), (
+                    f"{name}.{fn.name} imports from turanpin at line {node.lineno}"
+                )

@@ -109,7 +109,7 @@ class TestWitness:
     def test_budget_exhaustion_keeps_validity(self):
         p = cycle_graph(5, n=10)
         r = exact_ex(p, budget=20)
-        assert not r.proved
+        assert not r.proved and r.nodes == 20
         assert is_triangle_free(r.witness) and subgraph_of(p, r.witness)
         assert r.value == r.witness.edge_count
         full = exact_ex(p)

@@ -194,14 +194,6 @@ def test_chain_stays_in_state_space():
         assert len(eset) + len(set(chain.nonedges)) == pair_count(7)
 
 
-def test_chain_index_maps_consistent():
-    rng = derive_rng(22)
-    chain = MetropolisChain(_bipartite_seed(6, 5), rng)
-    chain.run(500)
-    assert all(chain.edges[s] == k for k, s in chain.epos.items())
-    assert all(chain.nonedges[s] == k for k, s in chain.npos.items())
-
-
 def test_sampler_feasibility_bounds():
     with pytest.raises(ValueError):
         sample_uniform_triangle_free(6, 10, rng=derive_rng(23))  # cap is 9
