@@ -188,11 +188,11 @@ class BoundsReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def bounds_report(p: Graph, mis_budget: int | None = None) -> BoundsReport:
+def bounds_report(p: Graph, mis_budget: int = DEFAULT_NODE_BUDGET) -> BoundsReport:
     """Evaluate both bounds for one pin; alpha degrades to an interval on budget."""
     if p.n < 3:
         raise ValueError(f"need n >= 3, got n = {p.n}")
-    res = max_independent_set(p, budget=mis_budget or DEFAULT_NODE_BUDGET)
+    res = max_independent_set(p, budget=mis_budget)
     alpha_lo, alpha_hi = res.as_interval()
     try:
         slack, g, arg = _gamma_terms(p)

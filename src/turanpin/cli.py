@@ -24,7 +24,7 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -96,6 +96,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ------------------------------------------------------------------ helpers
+
+
+def _at_least(k: int):
+    """argparse type for an integer option that must be >= k."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be >= {k}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
 
 
 def _load_pin(path: str, fmt: str | None) -> Graph:
@@ -296,21 +309,11 @@ def _build_config(args) -> ExperimentConfig:
             raise CliError(EXIT_USAGE, f"cannot read config {args.config}: {err}") from err
         for key, value in parse_config_text(text).items():
             setattr(cfg, key, value)
-    overrides = {
-        "model": args.model,
-        "n_values": args.n_values,
-        "d_values": args.d_values,
-        "trials": args.trials,
-        "seed": args.seed,
-        "mis_budget": args.mis_budget,
-        "chain_steps": args.chain_steps,
-        "jobs": args.jobs,
-        "output_dir": args.output_dir,
-        "prefix": args.prefix,
-    }
-    for key, value in overrides.items():
+    # the scaling options' dests are the config fields; unset ones stay None
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(cfg, key, value)
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 
@@ -484,10 +487,6 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_worst_case(args) -> int:
-    if args.m < 1:
-        raise CliError(EXIT_USAGE, "m must be >= 1")
-    if args.n < 3:
-        raise CliError(EXIT_USAGE, "n must be >= 3")
     outdir = _resolve_outdir(args.output_dir)
     rows_path = outdir / f"{args.prefix}.rows.jsonl"
     rows = []
@@ -532,8 +531,6 @@ def _sample_trial(spec) -> tuple[str, str]:
 
 def cmd_sample(args) -> int:
     n = args.n
-    if n < 1:
-        raise CliError(EXIT_USAGE, "n must be >= 1")
     chosen = [x for x in (args.edges, args.d, args.p, args.steps) if x is not None]
     if len(chosen) > 1:
         raise CliError(EXIT_USAGE, "give at most one of --edges / --d / --p / --steps")
@@ -582,8 +579,6 @@ def cmd_sample(args) -> int:
         if not 0 <= value <= 1:
             raise CliError(EXIT_USAGE, f"edge probability {value} outside [0, 1]")
 
-    if args.trials < 1:
-        raise CliError(EXIT_USAGE, "trials must be >= 1")
     specs = [
         (args.model, n, value, steps_spec, t, args.seed, args.mis_budget, args.chain_steps)
         for t in range(args.trials)
@@ -621,16 +616,18 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("bounds", help="two-sided pinned edge-count bounds for a pin")
     _add_graph_input(p)
-    p.add_argument("--mis-budget", type=int, default=None, help="node budget for the exact alpha")
+    p.add_argument(
+        "--mis-budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET, help="node budget for the exact alpha"
+    )
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_bounds)
 
     p = subs.add_parser("construct", help="build an admissible supergraph with certificate")
     _add_graph_input(p)
     p.add_argument("--mode", choices=MODES, default="exact-mis")
-    p.add_argument("--bipartitions", type=int, default=0, help="extra random balanced splits to try")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mis-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--bipartitions", type=_at_least(0), default=0, help="extra random balanced splits to try")
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--mis-budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--prefix", default="construction")
     p.add_argument("--output", default=None, help="write the summary JSON here instead of stdout")
@@ -638,7 +635,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("exact", help="exact pinned maximum edge count")
     _add_graph_input(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_ORACLE_BUDGET)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_exact)
 
@@ -657,9 +654,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_scaling)
 
     p = subs.add_parser("worst-case", help="minimum pinned value over pins with at most m edges")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    p.add_argument("m", type=_at_least(1))
+    p.add_argument("n", type=_at_least(3))
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_ORACLE_BUDGET)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--prefix", default="worst_case")
     p.add_argument("--output", default=None)
@@ -667,16 +664,16 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("sample", help="draw random-model graphs with summary stats")
     p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--edges", type=int, default=None)
     p.add_argument("--d", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--steps", default=None, help='process step count or "to-completion"')
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mis-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--chain-steps", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--trials", type=_at_least(1), default=1)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--mis-budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--chain-steps", type=_at_least(0), default=None)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--prefix", default="sample")
     p.add_argument("--output", default=None)

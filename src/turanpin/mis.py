@@ -1,10 +1,11 @@
 """Exact maximum independent set on bitset graphs, plus the greedy heuristic.
 
-The solver is a branch and bound search: peel vertices of degree at most one
-(always safe to take), split into connected components at the root, bound
-each subproblem by a greedy clique cover, and branch on a maximum-degree
-vertex.  Work is metered in search nodes; when the budget runs out the
-result degrades to a certified interval instead of an answer.
+The solver is a branch and bound search over an explicit stack: peel
+vertices of degree at most one (always safe to take), split into connected
+components at the root, bound each subproblem by a greedy clique cover, and
+branch on a maximum-degree vertex.  Work is metered in search nodes; when
+the budget runs out the result degrades to a certified interval instead of
+an answer.
 """
 
 from __future__ import annotations
@@ -85,59 +86,56 @@ def max_independent_set(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MisResul
     n, adj = g.n, g.adj
     full = (1 << n) - 1
 
-    counter = [0]
-    exhausted = [False]
-    best = [0, 0]  # size, mask for the component being searched
-
-    def dfs(cand: int, cur_size: int, cur_mask: int) -> None:
-        if exhausted[0]:
-            return
-        if counter[0] >= budget:
-            exhausted[0] = True
-            return
-        counter[0] += 1
-        # take every vertex of induced degree <= 1; restart after each
-        # degree-1 take since removing its neighbor changes other degrees
-        while cand:
-            again = False
-            scan = cand
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                nb = adj[low.bit_length() - 1] & cand
-                k = nb.bit_count()
-                if k == 0:
-                    cand ^= low
-                    cur_mask |= low
-                    cur_size += 1
-                elif k == 1:
-                    cand &= ~(low | nb)
-                    cur_mask |= low
-                    cur_size += 1
-                    again = True
-                    break
-            if not again:
-                break
-        if not cand:
-            if cur_size > best[0]:
-                best[0], best[1] = cur_size, cur_mask
-            return
-        if cur_size + clique_cover_bound(adj, cand) <= best[0]:
-            return
-        v = max(iter_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
-        bit = 1 << v
-        dfs(cand & ~(bit | adj[v]), cur_size + 1, cur_mask | bit)
-        dfs(cand ^ bit, cur_size, cur_mask)
-
+    nodes = 0
+    exhausted = False
     total_size = 0
     total_mask = 0
     for comp in components(g):
         # lowest-index min-degree greedy warm-starts the incumbent
-        seed = _min_degree_greedy(adj, comp, lambda k: 0)
-        best[0], best[1] = seed.bit_count(), seed
-        dfs(comp, 0, 0)
-        total_size += best[0]
-        total_mask |= best[1]
+        best_mask = _min_degree_greedy(adj, comp, lambda k: 0)
+        best_size = best_mask.bit_count()
+        # each entry is one search node: candidates, chosen size, chosen mask
+        stack = [(comp, 0, 0)]
+        while stack:
+            if nodes >= budget:
+                exhausted = True
+                break
+            cand, cur_size, cur_mask = stack.pop()
+            nodes += 1
+            # take every vertex of induced degree <= 1; restart after each
+            # degree-1 take since removing its neighbor changes other degrees
+            while cand:
+                again = False
+                scan = cand
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
+                    nb = adj[low.bit_length() - 1] & cand
+                    k = nb.bit_count()
+                    if k == 0:
+                        cand ^= low
+                        cur_mask |= low
+                        cur_size += 1
+                    elif k == 1:
+                        cand &= ~(low | nb)
+                        cur_mask |= low
+                        cur_size += 1
+                        again = True
+                        break
+                if not again:
+                    break
+            if not cand:
+                if cur_size > best_size:
+                    best_size, best_mask = cur_size, cur_mask
+                continue
+            if cur_size + clique_cover_bound(adj, cand) <= best_size:
+                continue
+            v = max(iter_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+            bit = 1 << v
+            stack.append((cand ^ bit, cur_size, cur_mask))
+            stack.append((cand & ~(bit | adj[v]), cur_size + 1, cur_mask | bit))  # popped first: take v
+        total_size += best_size
+        total_mask |= best_mask
 
     # paranoia: never hand back a witness that is not independent
     for v in iter_bits(total_mask):
@@ -146,14 +144,13 @@ def max_independent_set(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MisResul
     if total_mask.bit_count() != total_size:
         raise RuntimeError("witness size disagrees with reported size")
 
-    done = not exhausted[0]
     return MisResult(
         size=total_size,
         witness=total_mask,
-        exact=done,
-        nodes_explored=counter[0],
-        budget_exhausted=not done,
-        upper_bound=total_size if done else clique_cover_bound(adj, full),
+        exact=not exhausted,
+        nodes_explored=nodes,
+        budget_exhausted=exhausted,
+        upper_bound=clique_cover_bound(adj, full) if exhausted else total_size,
     )
 
 

@@ -1,10 +1,13 @@
 """Ground truth for pinned triangle-free edge maxima.
 
-``exact_ex`` runs a branch and bound over supergraphs of the pin: candidate
-pairs are every pair that can still be added without closing a triangle,
-the branch variable is the candidate that conflicts with the most others,
-and the bound combines per-vertex candidate counts with a clique-cover cap
-on the independence number (final edge count is at most n * alpha / 2).
+``exact_ex`` runs a branch and bound over supergraphs of the pin.  The
+candidates are kept as per-vertex rows: bit v of row u is set iff {u, v} can
+still be added without closing a triangle.  The branch variable is the
+candidate whose addition removes the most other candidates, and the bound
+combines per-vertex candidate counts with a clique-cover cap on the
+independence number (final edge count is at most n * alpha / 2).  The search
+is a loop over an explicit stack that expands the include child first.  The
+greedy seed (``greedy_completion``) is the search's include-only walk.
 
 ``worst_case_ex`` minimizes the oracle value over all isomorphism classes
 of triangle-free pins with at most m edges, produced by an edge-addition
@@ -24,8 +27,8 @@ from turanpin.graphs import (
     components,
     find_triangle,
     is_triangle_free,
+    index_to_pair,
     iter_bits,
-    pair_to_index,
     subgraph_of,
     to_graph6,
 )
@@ -79,33 +82,62 @@ def duplication_seed(p: Graph) -> Graph:
     return Graph(n, rows, validate=False)
 
 
+def _candidate_rows(p: Graph) -> list[int]:
+    """Row u has bit v iff {u, v} can be added to p without closing a triangle."""
+    n = p.n
+    full = (1 << n) - 1
+    cand = [full & ~(p.adj[u] | 1 << u) for u in range(n)]
+    for k in build_b1(p):
+        u, v = index_to_pair(k, n)
+        cand[u] &= ~(1 << v)
+        cand[v] &= ~(1 << u)
+    return cand
+
+
+def _most_conflicting(rows: list[int], cand: list[int]) -> tuple[int, int]:
+    """Candidate pair whose addition removes the most other candidates.
+
+    Pairs are scanned in pair-id order (u ascending, then v > u ascending)
+    and the first maximum wins.
+    """
+    best_u = best_v = -1
+    best_kill = -1
+    for u, cu in enumerate(cand):
+        ru = rows[u]
+        for v in iter_bits(cu >> (u + 1) << (u + 1)):
+            kill = (rows[v] & cu).bit_count() + (ru & cand[v]).bit_count()
+            if kill > best_kill:
+                best_kill, best_u, best_v = kill, u, v
+    return best_u, best_v
+
+
+def _include(rows: list[int], cand: list[int], u: int, v: int) -> tuple[list[int], list[int]]:
+    """New rows and candidate rows after adding the candidate pair uv.
+
+    uv leaves the candidates, and so does every pair that would now close a
+    triangle through it: uw for w adjacent to v, and vw for w adjacent to u.
+    """
+    ru, rv = rows[u], rows[v]
+    rows = list(rows)
+    rows[u] = ru | 1 << v
+    rows[v] = rv | 1 << u
+    cand = list(cand)
+    cu, cv = cand[u], cand[v]
+    for w in iter_bits(rv & cu):
+        cand[w] &= ~(1 << u)
+    for w in iter_bits(ru & cv):
+        cand[w] &= ~(1 << v)
+    cand[u] = cu & ~(rv | 1 << v)
+    cand[v] = cv & ~(ru | 1 << u)
+    return rows, cand
+
+
 def greedy_completion(p: Graph) -> Graph:
     """Add pairs one at a time (most-conflicting first) until maximal."""
-    n = p.n
-    rows = list(p.adj)
-    while True:
-        cands = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if not rows[u] & (1 << v) and not rows[u] & rows[v]:
-                    cands.append((u, v))
-        if not cands:
-            return Graph(n, rows, validate=False)
-
-        def kills(e):
-            u, v = e
-            k = 0
-            for w in iter_bits(rows[v]):
-                if w != u and not rows[u] & (1 << w) and not rows[u] & rows[w]:
-                    k += 1
-            for w in iter_bits(rows[u]):
-                if w != v and not rows[v] & (1 << w) and not rows[v] & rows[w]:
-                    k += 1
-            return k
-
-        u, v = max(cands, key=kills)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+    rows, cand = list(p.adj), _candidate_rows(p)
+    while any(cand):
+        rows, cand = _include(rows, cand, *_most_conflicting(rows, cand))
+    return Graph(p.n, rows, validate=False)
 
 
 def _seed_graphs(p: Graph) -> list[Graph]:
@@ -137,117 +169,48 @@ def exact_ex(p: Graph, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
     for s in _seed_graphs(p):
         if s.edge_count > best_g.edge_count and subgraph_of(p, s) and is_triangle_free(s):
             best_g = s
-    best = [best_g.edge_count, list(best_g.adj)]
-    if best[0] >= cap:
-        return OracleResult(cap, Graph(n, best[1], validate=False), 0, True)
+    best, best_rows = best_g.edge_count, list(best_g.adj)
+    if best >= cap:
+        return OracleResult(cap, Graph(n, best_rows, validate=False), 0, True)
 
-    pid = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            pid[u][v] = pid[v][u] = pair_to_index(u, v, n)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]  # indexed by pair id
-
-    b1 = build_b1(p)
-    p_ids = set(p.edge_indices())
-    cand0 = 0
-    cnt0 = [0] * n
-    for u, v in pairs:
-        k = pid[u][v]
-        if k not in p_ids and k not in b1:
-            cand0 |= 1 << k
-            cnt0[u] += 1
-            cnt0[v] += 1
-
-    nodes = [0]
-    done = [False]
-
-    def bound(rows, cnt, full) -> int:
+    full = (1 << n) - 1
+    nodes = 0
+    exhausted = False
+    # each entry is one search node: working rows, their edge count, candidate rows
+    stack = [(list(p.adj), p.edge_count, _candidate_rows(p))]
+    while stack:
+        if nodes >= budget:
+            exhausted = True
+            break
+        rows, ecur, cand = stack.pop()
+        nodes += 1
+        if ecur > best:
+            best, best_rows = ecur, rows
+            if ecur >= cap:
+                break
+        if not any(cand):
+            continue
+        # final degree of v is at most its degree plus its candidates, and
+        # at most alpha (a triangle-free neighbourhood is independent)
         alpha_ub = clique_cover_bound(rows, full)
         tot = 0
         for v in range(n):
-            tot += min(rows[v].bit_count() + cnt[v], alpha_ub)
-        return min(tot // 2, cap)
+            tot += min(rows[v].bit_count() + cand[v].bit_count(), alpha_ub)
+        if min(tot // 2, cap) <= best:
+            continue
 
-    full_mask = (1 << n) - 1
+        u, v = _most_conflicting(rows, cand)
+        rows2, cand2 = _include(rows, cand, u, v)
+        # this node is finished, so the exclude child may take its cand list
+        cand[u] &= ~(1 << v)
+        cand[v] &= ~(1 << u)
+        stack.append((rows, ecur, cand))
+        stack.append((rows2, ecur + 1, cand2))  # popped first: include before exclude
 
-    def search(rows, ecur, cand, cnt):
-        if done[0]:
-            return
-        if nodes[0] >= budget:
-            done[0] = True
-            return
-        nodes[0] += 1
-        if ecur > best[0]:
-            best[0], best[1] = ecur, list(rows)
-            if ecur >= cap:
-                done[0] = True
-                return
-        if not cand:
-            return
-        if bound(rows, cnt, full_mask) <= best[0]:
-            return
-
-        # branch on the candidate that conflicts with the most others
-        best_k, best_kill = -1, -1
-        m = cand
-        while m:
-            low = m & -m
-            k = low.bit_length() - 1
-            m ^= low
-            u, v = pairs[k]
-            kill = 0
-            for w in iter_bits(rows[v]):
-                if cand >> pid[u][w] & 1:
-                    kill += 1
-            for w in iter_bits(rows[u]):
-                if cand >> pid[v][w] & 1:
-                    kill += 1
-            if kill > best_kill:
-                best_kill, best_k = kill, k
-        k = best_k
-        u, v = pairs[k]
-        bit = 1 << k
-
-        # include: add the edge, drop it and everything it now blocks
-        rows2 = list(rows)
-        rows2[u] |= 1 << v
-        rows2[v] |= 1 << u
-        cand2 = cand & ~bit
-        cnt2 = list(cnt)
-        cnt2[u] -= 1
-        cnt2[v] -= 1
-        removed = 0
-        for w in iter_bits(rows[v]):
-            kb = 1 << pid[u][w]
-            if cand2 & kb:
-                removed |= kb
-                cnt2[u] -= 1
-                cnt2[w] -= 1
-        for w in iter_bits(rows[u]):
-            kb = 1 << pid[v][w]
-            if cand2 & kb:
-                removed |= kb
-                cnt2[v] -= 1
-                cnt2[w] -= 1
-        search(rows2, ecur + 1, cand2 & ~removed, cnt2)
-
-        # exclude
-        cnt3 = list(cnt)
-        cnt3[u] -= 1
-        cnt3[v] -= 1
-        search(rows, ecur, cand & ~bit, cnt3)
-
-    search(list(p.adj), p.edge_count, cand0, cnt0)
-
-    witness = Graph(n, best[1], validate=False)
+    witness = Graph(n, best_rows, validate=False)
     if not (is_triangle_free(witness) and subgraph_of(p, witness)):
         raise RuntimeError("oracle produced an invalid witness")
-    return OracleResult(
-        value=best[0],
-        witness=witness,
-        nodes=nodes[0],
-        proved=not done[0] or best[0] >= cap,
-    )
+    return OracleResult(value=best, witness=witness, nodes=nodes, proved=not exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,29 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, ["exact", "x.g6", "--budget", "lots"])[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--model", "uniform-tf", "--n", "8", "--edges", "6", "--chain-steps", "-1"],
+        ["sample", "--model", "uniform-tf", "--n", "8", "--edges", "6", "--seed", "-1"],
+        ["sample", "--model", "uniform-tf", "--n", "8", "--edges", "6", "--jobs", "0"],
+        ["construct", "PIN", "--bipartitions", "-1"],
+        ["construct", "PIN", "--seed", "-1"],
+        ["construct", "PIN", "--mis-budget", "0"],
+        ["bounds", "PIN", "--mis-budget", "0"],
+        ["exact", "PIN", "--budget", "0"],
+        ["worst-case", "2", "5", "--budget", "0"],
+    ],
+)
+def test_out_of_range_integer_options_exit_1(argv, g6, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a command that ran anyway would write
+    pin = g6("c5.g6", cycle_graph(5))
+    code, out, err = run(capsys, [pin if a == "PIN" else a for a in argv])
+    assert code == EXIT_USAGE
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, ["--help"])[0] == EXIT_OK
     assert run(capsys, ["scaling", "--help"])[0] == EXIT_OK

@@ -9,6 +9,7 @@ import pytest
 from turanpin.graphs import (
     Graph,
     complete_bipartite,
+    components,
     cycle_graph,
     is_triangle_free,
     iter_bits,
@@ -116,6 +117,21 @@ class TestBudget:
         g = random_graph(60, 0.1, random.Random(5))
         r = max_independent_set(g, budget=100)
         assert r.budget_exhausted and r.nodes_explored == 100
+
+    def test_exhaustion_leaves_later_components_at_greedy_seed(self):
+        # lowest-index min-degree greedy takes 2 vertices of `small`; alpha is 3
+        small = [(0, 1), (0, 5), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5)]
+        big = random_graph(40, 0.15, random.Random(6))  # connected, 67 search nodes
+        edges = list(big.edges()) + [(u + off, v + off) for off in (40, 46) for u, v in small]
+        g = Graph.from_edges(52, edges)
+        assert len(components(g)) == 3
+        full = max_independent_set(g)
+        r = max_independent_set(g, budget=20)
+        assert full.exact and r.budget_exhausted and r.nodes_explored == 20
+        for off in (40, 46):
+            comp = 0b111111 << off
+            assert (full.witness & comp).bit_count() == 3
+            assert (r.witness & comp).bit_count() == 2
 
 
 class TestCliqueCover:

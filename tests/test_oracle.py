@@ -13,6 +13,7 @@ from turanpin.graphs import (
     count_cherries,
     cycle_graph,
     is_triangle_free,
+    iter_bits,
     path_graph,
     star_graph,
     subgraph_of,
@@ -59,6 +60,36 @@ def random_triangle_free(n, rng, density=0.3):
     return g
 
 
+def reference_greedy_completion(p):
+    """Rescanning greedy: list every addable pair at each step, add the first
+    one whose addition makes the most other pairs unaddable."""
+    n = p.n
+    rows = list(p.adj)
+    while True:
+        cands = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if not rows[u] & (1 << v) and not rows[u] & rows[v]:
+                    cands.append((u, v))
+        if not cands:
+            return Graph(n, rows, validate=False)
+
+        def kills(e):
+            u, v = e
+            k = 0
+            for w in iter_bits(rows[v]):
+                if w != u and not rows[u] & (1 << w) and not rows[u] & rows[w]:
+                    k += 1
+            for w in iter_bits(rows[u]):
+                if w != v and not rows[v] & (1 << w) and not rows[v] & rows[w]:
+                    k += 1
+            return k
+
+        u, v = max(cands, key=kills)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+
+
 class TestExactValues:
     def test_mantel_baseline(self):
         for n in range(2, 11):
@@ -90,6 +121,14 @@ class TestExactValues:
             r = exact_ex(p)
             assert r.proved
             assert r.value == brute_ex(p)
+
+    def test_brouwer_non_bipartite_values(self):
+        # Brouwer (1981): a non-bipartite triangle-free graph on n >= 5
+        # vertices has at most (n-1)^2/4 + 1 edges, attained by blowing up C5
+        for n in (5, 6, 7, 10, 20, 40):
+            r = exact_ex(cycle_graph(5, n=n), budget=3000)
+            assert r.value == (n - 1) ** 2 // 4 + 1
+            assert r.proved or n > 7
 
     def test_rejects_triangled_pin(self):
         with pytest.raises(ValueError):
@@ -198,6 +237,13 @@ class TestSeeds:
                 for v in range(u + 1, n):
                     if not g.has_edge(u, v):
                         assert not is_triangle_free(g.with_edges([(u, v)]))
+
+    def test_greedy_completion_matches_rescanning_reference(self):
+        rng = random.Random(50)
+        for _ in range(200):
+            n = rng.randrange(1, 31)
+            p = random_triangle_free(n, rng, density=rng.choice([0.02, 0.05, 0.1, 0.3]))
+            assert greedy_completion(p).adj == reference_greedy_completion(p).adj
 
 
 class TestCanonicalKey:
