@@ -111,38 +111,6 @@ def shearer_floor(n_vertices: int, avg_degree: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConstraintParams:
-    """Slopes for the two constrainedness inequalities."""
-
-    beta1: float
-    beta2: float
-
-    def __post_init__(self):
-        if not self.beta1 > 0:
-            raise ValueError("beta1 must be positive")
-        if not 0 < self.beta2 < 0.25:
-            raise ValueError("beta2 must lie in (0, 1/4)")
-
-
-def is_constrained(p: Graph, params: ConstraintParams) -> bool:
-    """True iff alpha(p) <= beta1 n ln(d)/d and e * maxdeg <= (1/4 - beta2) n^2.
-
-    Needs average degree d > 1 (the first inequality is vacuous otherwise).
-    alpha is computed exactly, so this can be slow for large pins.
-    """
-    n, e = p.n, p.edge_count
-    if n == 0 or 2 * e <= n:
-        raise ValueError(f"constrainedness needs average degree > 1, got {2 * e}/{n}")
-    d = 2 * e / n
-    res = max_independent_set(p)
-    if not res.exact:
-        raise RuntimeError("alpha computation hit its budget; raise the budget")
-    first = res.size <= params.beta1 * n * math.log(d) / d
-    second = e * max(p.degrees()) <= (0.25 - params.beta2) * n * n
-    return first and second
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     """Every scalar in the two-sided estimate for one pin."""
 

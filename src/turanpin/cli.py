@@ -111,6 +111,17 @@ def _at_least(k: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a float option that must be finite (not nan or inf)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite_float.__name__ = "float"  # argparse reports a non-number as "invalid float value"
+
+
 def _load_pin(path: str, fmt: str | None) -> Graph:
     try:
         return read_graph(path, fmt)
@@ -244,6 +255,8 @@ class ExperimentConfig:
             raise CliError(EXIT_USAGE, "d_values must be non-empty")
         if any(n < 3 for n in self.n_values):
             raise CliError(EXIT_USAGE, "every n must be >= 3")
+        if not all(math.isfinite(d) for d in self.d_values):
+            raise CliError(EXIT_USAGE, "every d must be finite")
         if any(not d > 1 for d in self.d_values):
             raise CliError(EXIT_USAGE, "every d must be > 1 (the ratio normalizer needs ln d > 0)")
         if self.trials < 1:
@@ -666,8 +679,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--edges", type=int, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--d", type=_finite_float, default=None)
+    p.add_argument("--p", type=_finite_float, default=None)
     p.add_argument("--steps", default=None, help='process step count or "to-completion"')
     p.add_argument("--trials", type=_at_least(1), default=1)
     p.add_argument("--seed", type=_at_least(0), default=0)

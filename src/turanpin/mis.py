@@ -6,6 +6,19 @@ components at the root, bound each subproblem by a greedy clique cover, and
 branch on a maximum-degree vertex.  Work is metered in search nodes; when
 the budget runs out the result degrades to a certified interval instead of
 an answer.
+
+Each component is searched on its own vertices, renumbered in increasing
+order, so its bitsets and degree lists are as long as the component.
+Degrees are kept incrementally, never recounted.  Each search node carries
+the degree list of its candidates (-1 off the candidates) and the bitset of
+candidates of degree at most one.  The peel takes the lowest vertex of that
+bitset until it is empty; that is the order of an ascending scan that takes
+degree-0 vertices as it meets them and restarts after each degree-1 take
+(removing a degree-0 vertex changes no degree).  The branch vertex is the
+first maximum of the degree list.  A child decrements only the degrees its
+removals touch: the take child reuses its parent's list, the skip child a
+copy.  The min-degree greedy keeps one bitset bucket per degree and picks
+from the lowest nonempty bucket.
 """
 
 from __future__ import annotations
@@ -63,18 +76,54 @@ def _min_degree_greedy(adj, cand: int, tie_break) -> int:
     """Maximal independent set in cand by repeated min-degree pick.
 
     ``tie_break(k)`` chooses among the k tied vertices, listed in
-    increasing order.
+    increasing order.  Degrees are kept incrementally: ``buckets[d]`` is the
+    bitset of candidates of degree d, and each pick decrements only the
+    neighbours of the vertices it removes.
     """
+    deg = [0] * len(adj)
+    buckets = [0] * len(adj)  # a degree is below the vertex count
+    for v in iter_bits(cand):
+        deg[v] = (adj[v] & cand).bit_count()
+        buckets[deg[v]] |= 1 << v
     mask = 0
+    dmin = 0  # every bucket below this one is empty
     while cand:
-        verts = list(iter_bits(cand))
-        degs = [(adj[v] & cand).bit_count() for v in verts]
-        dmin = min(degs)
-        ties = [v for v, d in zip(verts, degs) if d == dmin]
-        v = ties[tie_break(len(ties))]
-        mask |= 1 << v
-        cand &= ~((1 << v) | adj[v])
+        while not buckets[dmin]:
+            dmin += 1
+        ties = buckets[dmin]
+        for _ in range(tie_break(ties.bit_count())):
+            ties &= ties - 1  # drop the lowest tied vertex
+        bit = ties & -ties
+        mask |= bit
+        gone = (bit | adj[bit.bit_length() - 1]) & cand
+        cand ^= gone
+        for u in iter_bits(gone):
+            buckets[deg[u]] ^= 1 << u
+            for w in iter_bits(adj[u] & cand):
+                d = deg[w]
+                buckets[d] ^= 1 << w
+                buckets[d - 1] |= 1 << w
+                deg[w] = d - 1
+                if d - 1 < dmin:
+                    dmin = d - 1
     return mask
+
+
+def _remove(adj, cand: int, deg: list, gone: int) -> tuple[int, int]:
+    """Drop ``gone`` from cand, updating ``deg`` in place.
+
+    Returns the remaining candidates and the bitset of those whose degree
+    fell to at most one.
+    """
+    cand &= ~gone
+    low = 0
+    for u in iter_bits(gone):
+        deg[u] = -1
+        for w in iter_bits(adj[u] & cand):
+            deg[w] -= 1
+            if deg[w] <= 1:
+                low |= 1 << w
+    return cand, low
 
 
 def max_independent_set(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MisResult:
@@ -83,59 +132,59 @@ def max_independent_set(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MisResul
     On budget exhaustion the returned size is still attained by ``witness``
     and ``upper_bound`` is still valid, so callers get a true interval.
     """
-    n, adj = g.n, g.adj
-    full = (1 << n) - 1
+    adj = g.adj
+    full = (1 << g.n) - 1
 
     nodes = 0
     exhausted = False
     total_size = 0
     total_mask = 0
     for comp in components(g):
+        # search the component on its own vertices, renumbered in increasing
+        # order so that every lowest-index and first-maximum choice is kept
+        verts = list(iter_bits(comp))
+        index = {v: i for i, v in enumerate(verts)}
+        rows = [sum(1 << index[w] for w in iter_bits(adj[v])) for v in verts]
+        every = (1 << len(verts)) - 1
         # lowest-index min-degree greedy warm-starts the incumbent
-        best_mask = _min_degree_greedy(adj, comp, lambda k: 0)
+        best_mask = _min_degree_greedy(rows, every, lambda k: 0)
         best_size = best_mask.bit_count()
-        # each entry is one search node: candidates, chosen size, chosen mask
-        stack = [(comp, 0, 0)]
+        # each entry is one search node: candidates, chosen size, chosen
+        # mask, the candidates' degrees (-1 off cand) and the bitset of
+        # candidates of degree <= 1
+        deg = [row.bit_count() for row in rows]
+        low = sum(1 << i for i, d in enumerate(deg) if d <= 1)
+        stack = [(every, 0, 0, deg, low)]
         while stack:
             if nodes >= budget:
                 exhausted = True
                 break
-            cand, cur_size, cur_mask = stack.pop()
+            cand, cur_size, cur_mask, deg, low = stack.pop()
             nodes += 1
-            # take every vertex of induced degree <= 1; restart after each
-            # degree-1 take since removing its neighbor changes other degrees
-            while cand:
-                again = False
-                scan = cand
-                while scan:
-                    low = scan & -scan
-                    scan ^= low
-                    nb = adj[low.bit_length() - 1] & cand
-                    k = nb.bit_count()
-                    if k == 0:
-                        cand ^= low
-                        cur_mask |= low
-                        cur_size += 1
-                    elif k == 1:
-                        cand &= ~(low | nb)
-                        cur_mask |= low
-                        cur_size += 1
-                        again = True
-                        break
-                if not again:
-                    break
+            # take the lowest vertex of degree <= 1 (dropping its neighbour,
+            # if any) until none is left
+            while low:
+                bit = low & -low
+                cur_mask |= bit
+                cur_size += 1
+                cand, more = _remove(rows, cand, deg, bit | (rows[bit.bit_length() - 1] & cand))
+                low = (low | more) & cand
             if not cand:
                 if cur_size > best_size:
                     best_size, best_mask = cur_size, cur_mask
                 continue
-            if cur_size + clique_cover_bound(adj, cand) <= best_size:
+            if cur_size + clique_cover_bound(rows, cand) <= best_size:
                 continue
-            v = max(iter_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+            v = deg.index(max(deg))  # first maximum-degree vertex
             bit = 1 << v
-            stack.append((cand ^ bit, cur_size, cur_mask))
-            stack.append((cand & ~(bit | adj[v]), cur_size + 1, cur_mask | bit))  # popped first: take v
+            skip_deg = deg.copy()
+            skip_cand, skip_low = _remove(rows, cand, skip_deg, bit)
+            stack.append((skip_cand, cur_size, cur_mask, skip_deg, skip_low))
+            # popped first: take v; the take child reuses this node's degrees
+            take_cand, take_low = _remove(rows, cand, deg, bit | (rows[v] & cand))
+            stack.append((take_cand, cur_size + 1, cur_mask | bit, deg, take_low))
         total_size += best_size
-        total_mask |= best_mask
+        total_mask |= sum(1 << verts[i] for i in iter_bits(best_mask))
 
     # paranoia: never hand back a witness that is not independent
     for v in iter_bits(total_mask):

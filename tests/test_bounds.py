@@ -11,11 +11,9 @@ import pytest
 
 from turanpin.bounds import (
     BoundsReport,
-    ConstraintParams,
     GammaUndefinedError,
     bounds_report,
     gamma,
-    is_constrained,
     lower_bound,
     psi,
     upper_bound,
@@ -172,32 +170,6 @@ class TestLowerBound:
             except GammaUndefinedError:
                 continue
             assert val >= 0
-
-
-class TestConstrained:
-    def test_two_cycles_fail_second_inequality(self):
-        p = Graph.from_edges(
-            10,
-            [(i, (i + 1) % 5) for i in range(5)]
-            + [(5 + i, 5 + (i + 1) % 5) for i in range(5)],
-        )
-        # alpha = 4 <= 3*10*ln2/2 ~ 10.4 but e*maxdeg = 20 > 0.15*100
-        assert is_constrained(p, ConstraintParams(3, 0.1)) is False
-        assert is_constrained(p, ConstraintParams(3, 0.04)) is True
-
-    def test_rejects_low_average_degree(self):
-        with pytest.raises(ValueError):
-            is_constrained(Graph.empty(5), ConstraintParams(3, 0.1))
-        with pytest.raises(ValueError):
-            is_constrained(Graph.from_edges(4, [(0, 1), (2, 3)]), ConstraintParams(3, 0.1))
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            ConstraintParams(0, 0.1)
-        with pytest.raises(ValueError):
-            ConstraintParams(1, 0.25)
-        with pytest.raises(ValueError):
-            ConstraintParams(1, 0)
 
 
 class TestReport:

@@ -123,6 +123,27 @@ def test_out_of_range_integer_options_exit_1(argv, g6, tmp_path, capsys, monkeyp
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--model", "uniform-tf", "--n", "10", "--d", "nan"],
+        ["sample", "--model", "process", "--n", "10", "--d", "inf"],
+        ["sample", "--model", "erdos-renyi", "--n", "10", "--d", "-inf"],
+        ["sample", "--model", "erdos-renyi", "--n", "10", "--p", "nan"],
+        ["scaling", "--n-values", "10", "--d-values", "inf", "--trials", "1"],
+        ["scaling", "--n-values", "10", "--d-values", "2.0 nan", "--trials", "1"],
+        ["scaling", "--config", "CFG"],
+    ],
+)
+def test_non_finite_degree_exits_1(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a command that ran anyway would write
+    (tmp_path / "inf.cfg").write_text("n_values = 10\nd_values = 3.0 inf\ntrials = 1\n")
+    code, out, err = run(capsys, [str(tmp_path / "inf.cfg") if a == "CFG" else a for a in argv])
+    assert code == EXIT_USAGE
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, ["--help"])[0] == EXIT_OK
     assert run(capsys, ["scaling", "--help"])[0] == EXIT_OK

@@ -1,0 +1,26 @@
+"""Smoke test: every script in demos/ runs to completion and prints something."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(script, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+    assert not any(tmp_path.iterdir())  # demos write no files

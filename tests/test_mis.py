@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from turanpin.graphs import (
     cycle_graph,
     is_triangle_free,
     iter_bits,
+    path_graph,
     star_graph,
 )
 from turanpin.bounds import shearer_floor
 from turanpin.mis import (
+    DEFAULT_NODE_BUDGET,
     MisResult,
+    _min_degree_greedy,
     clique_cover_bound,
     greedy_independent_set,
     max_independent_set,
@@ -44,6 +48,84 @@ def brute_alpha(g):
 def random_graph(n, p, rng):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def reference_greedy(adj, cand, tie_break):
+    """Min-degree greedy that recounts every candidate's degree on each pick."""
+    mask = 0
+    while cand:
+        verts = list(iter_bits(cand))
+        degs = [(adj[v] & cand).bit_count() for v in verts]
+        dmin = min(degs)
+        ties = [v for v, d in zip(verts, degs) if d == dmin]
+        v = ties[tie_break(len(ties))]
+        mask |= 1 << v
+        cand &= ~((1 << v) | adj[v])
+    return mask
+
+
+def reference_mis(g, budget):
+    """The branch and bound that rescans for degree <= 1 vertices after every take.
+
+    Returns the ``MisResult`` fields as a tuple.
+    """
+    adj = g.adj
+    nodes = 0
+    exhausted = False
+    total_size = total_mask = 0
+    for comp in components(g):
+        best_mask = reference_greedy(adj, comp, lambda k: 0)
+        best_size = best_mask.bit_count()
+        stack = [(comp, 0, 0)]
+        while stack:
+            if nodes >= budget:
+                exhausted = True
+                break
+            cand, cur_size, cur_mask = stack.pop()
+            nodes += 1
+            while cand:
+                again = False
+                scan = cand
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
+                    nb = adj[low.bit_length() - 1] & cand
+                    k = nb.bit_count()
+                    if k == 0:
+                        cand ^= low
+                        cur_mask |= low
+                        cur_size += 1
+                    elif k == 1:
+                        cand &= ~(low | nb)
+                        cur_mask |= low
+                        cur_size += 1
+                        again = True
+                        break
+                if not again:
+                    break
+            if not cand:
+                if cur_size > best_size:
+                    best_size, best_mask = cur_size, cur_mask
+                continue
+            if cur_size + clique_cover_bound(adj, cand) <= best_size:
+                continue
+            v = max(iter_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+            bit = 1 << v
+            stack.append((cand ^ bit, cur_size, cur_mask))
+            stack.append((cand & ~(bit | adj[v]), cur_size + 1, cur_mask | bit))
+        total_size += best_size
+        total_mask |= best_mask
+    upper = clique_cover_bound(adj, (1 << g.n) - 1) if exhausted else total_size
+    return (total_size, total_mask, not exhausted, nodes, exhausted, upper)
+
+
+def reference_corpus(seed, count):
+    """Random graphs with n < 40: dense ones with triangles, sparse ones with many components."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(0, 40)
+        p = rng.random() if rng.random() < 0.5 else rng.uniform(0, 0.15)
+        yield random_graph(n, p, rng)
 
 
 PETERSEN = Graph.from_edges(
@@ -134,6 +216,21 @@ class TestBudget:
             assert (r.witness & comp).bit_count() == 2
 
 
+class TestSameSearchTree:
+    """The incremental-degree search visits exactly the rescanning search's nodes."""
+
+    def test_matches_rescanning_reference(self):
+        # long degree-1 chains exercise the peel order; padding adds components
+        extra = [cycle_graph(31, n=40), path_graph(25).padded(33), PETERSEN.padded(14)]
+        triangles = split = 0
+        for g in [*reference_corpus(4104, 400), *extra]:
+            triangles += not is_triangle_free(g)
+            split += len(components(g)) > 1
+            for budget in (1, 2, 3, 7, 50, DEFAULT_NODE_BUDGET):
+                assert astuple(max_independent_set(g, budget)) == reference_mis(g, budget), (g.adj, budget)
+        assert triangles >= 50 and split >= 50
+
+
 class TestCliqueCover:
     def test_upper_bounds_alpha(self):
         rng = random.Random(4)
@@ -174,6 +271,25 @@ class TestGreedy:
             for v in range(g.n):
                 if not (m >> v) & 1:
                     assert g.adj[v] & m != 0
+
+
+class TestGreedyMatchesReference:
+    """The bucket greedy makes the rescanning greedy's picks and RNG draws."""
+
+    def test_random_ties_same_mask_and_draws(self):
+        seeds = random.Random(77)
+        for g in reference_corpus(5, 400):
+            seed = seeds.randrange(2**32)
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            mask = greedy_independent_set(g, ours)
+            assert mask == reference_greedy(g.adj, (1 << g.n) - 1, lambda k: int(ref.integers(k)))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_lowest_index_ties_on_subsets(self):
+        rng = random.Random(8)
+        for g in reference_corpus(6, 300):
+            cand = rng.getrandbits(g.n) if g.n else 0
+            assert _min_degree_greedy(g.adj, cand, lambda k: 0) == reference_greedy(g.adj, cand, lambda k: 0)
 
 
 class TestShearerFloor:
