@@ -24,16 +24,16 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
 
-from turanpin.bounds import GammaUndefinedError, bounds_report, lower_bound
-from turanpin.construct import MODES, certify, construct_admissible, write_construction
+from turanpin.bounds import bounds_report
+from turanpin.construct import MODES, construct_admissible, formula_floor, write_construction
 from turanpin.graphs import (
     Graph,
     GraphFormatError,
     find_triangle,
+    pair_count,
     read_graph,
     to_graph6,
 )
@@ -45,13 +45,13 @@ from turanpin.oracle import (
     iter_worst_case_rows,
 )
 from turanpin.randmodels import (
+    MODELS,
     TO_COMPLETION,
     derive_rng,
-    erdos_renyi,
+    draw,
     model_stats,
-    sample_uniform_triangle_free,
+    size_for_degree,
     stream_key,
-    triangle_free_process,
 )
 
 EXIT_OK = 0
@@ -61,8 +61,6 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 70
 
 OUTPUT_DIR_ENV = "TURANPIN_OUTPUT_DIR"
-
-MODELS = ("process", "uniform-tf", "erdos-renyi")
 
 CSV_COLUMNS = (
     "n",
@@ -98,28 +96,45 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------------ helpers
 
 
-def _at_least(k: int):
-    """argparse type for an integer option that must be >= k."""
+def _checked(parse, ok, rule: str):
+    """argparse type: ``parse`` the text, then require ``ok`` of the value."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < k:
-            raise argparse.ArgumentTypeError(f"must be >= {k}, got {value}")
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
 
-    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    check.__name__ = parse.__name__  # argparse reports a non-integer as "invalid int value"
+    return check
+
+
+def _at_least(k: int):
+    """argparse type for an integer option that must be >= k."""
+    return _checked(int, lambda value: value >= k, f">= {k}")
+
+
+_finite_float = _checked(float, math.isfinite, "finite")
+
+
+def _list_of(item):
+    """argparse type for a comma- or space-separated list of ``item`` values."""
+
+    def parse(text: str) -> list:
+        return [item(x) for x in text.replace(",", " ").split()]
+
+    parse.__name__ = "list"
     return parse
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for a float option that must be finite (not nan or inf)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-_finite_float.__name__ = "float"  # argparse reports a non-number as "invalid float value"
+def _steps(text: str):
+    """argparse type for a process step count or "to-completion"."""
+    if text == TO_COMPLETION:
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'takes an integer or "{TO_COMPLETION}", got {text}') from None
 
 
 def _load_pin(path: str, fmt: str | None) -> Graph:
@@ -181,11 +196,6 @@ def cmd_construct(args) -> int:
         rng=derive_rng(args.seed),
         mis_budget=args.mis_budget,
     )
-    cert = certify(result, g)
-    if not cert.all_ok:
-        sys.stderr.write(_dump_json(cert.to_json_dict()))
-        print("internal error: construction failed its own certificate", file=sys.stderr)
-        return EXIT_INTERNAL
     outdir = _resolve_outdir(args.output_dir)
     g6_path, cert_path = write_construction(result, g, str(outdir / args.prefix))
     summary = {
@@ -231,65 +241,21 @@ def cmd_exact(args) -> int:
 # ----------------------------------------------------------------- scaling
 
 
-@dataclass
-class ExperimentConfig:
-    """One scaling sweep: models x n_values x d_values x trials."""
-
-    model: str = "process"
-    n_values: list[int] = field(default_factory=list)
-    d_values: list[float] = field(default_factory=list)
-    trials: int = 1
-    seed: int = 0
-    mis_budget: int = DEFAULT_NODE_BUDGET
-    chain_steps: int | None = None
-    jobs: int = 1
-    output_dir: str | None = None
-    prefix: str = "scaling"
-
-    def validate(self) -> None:
-        if self.model not in MODELS:
-            raise CliError(EXIT_USAGE, f"model must be one of {MODELS}, got {self.model!r}")
-        if not self.n_values:
-            raise CliError(EXIT_USAGE, "n_values must be non-empty")
-        if not self.d_values:
-            raise CliError(EXIT_USAGE, "d_values must be non-empty")
-        if any(n < 3 for n in self.n_values):
-            raise CliError(EXIT_USAGE, "every n must be >= 3")
-        if not all(math.isfinite(d) for d in self.d_values):
-            raise CliError(EXIT_USAGE, "every d must be finite")
-        if any(not d > 1 for d in self.d_values):
-            raise CliError(EXIT_USAGE, "every d must be > 1 (the ratio normalizer needs ln d > 0)")
-        if self.trials < 1:
-            raise CliError(EXIT_USAGE, "trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise CliError(EXIT_USAGE, "seed must be a 64-bit non-negative integer")
-        if self.mis_budget < 1:
-            raise CliError(EXIT_USAGE, "mis_budget must be >= 1")
-        if self.jobs < 1:
-            raise CliError(EXIT_USAGE, "jobs must be >= 1")
-        if self.chain_steps is not None and self.chain_steps < 0:
-            raise CliError(EXIT_USAGE, "chain_steps must be >= 0")
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.replace(",", " ").split()]
-
-
-_CONFIG_PARSERS = {
-    "model": str,
-    "n_values": _int_list,
-    "d_values": _float_list,
-    "trials": int,
-    "seed": int,
-    "mis_budget": int,
-    "chain_steps": int,
-    "jobs": int,
-    "output_dir": str,
-    "prefix": str,
+# Every scaling setting: config key -> (parser that checks its range,
+# default).  The setting's flag is the key with dashes (--n-values), and the
+# config file and the flag go through the same parser.  d > 1 because the
+# ratio normalizer needs ln d > 0.
+_SCALING_SETTINGS = {
+    "model": (_checked(str, lambda model: model in MODELS, f"one of {', '.join(MODELS)}"), "process"),
+    "n_values": (_list_of(_at_least(3)), None),
+    "d_values": (_list_of(_checked(float, lambda d: math.isfinite(d) and d > 1, "finite and > 1")), None),
+    "trials": (_at_least(1), 1),
+    "seed": (_checked(int, lambda seed: 0 <= seed < 2**64, "in [0, 2**64)"), 0),
+    "mis_budget": (_at_least(1), DEFAULT_NODE_BUDGET),
+    "chain_steps": (_at_least(0), None),
+    "jobs": (_at_least(1), 1),
+    "output_dir": (str, None),
+    "prefix": (str, "scaling"),
 }
 
 
@@ -304,46 +270,37 @@ def parse_config_text(text: str) -> dict:
             raise CliError(EXIT_USAGE, f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_PARSERS:
+        if key not in _SCALING_SETTINGS:
             raise CliError(EXIT_USAGE, f"config line {lineno}: unknown key {key!r}")
         try:
-            out[key] = _CONFIG_PARSERS[key](value.strip())
-        except ValueError as err:
+            out[key] = _SCALING_SETTINGS[key][0](value.strip())
+        except (ValueError, argparse.ArgumentTypeError) as err:
             raise CliError(EXIT_USAGE, f"config line {lineno}: bad value for {key}: {err}") from err
     return out
 
 
-def _build_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+def _build_config(args) -> argparse.Namespace:
+    """Scaling settings: the defaults, then the config file, then the flags."""
+    cfg = {key: default for key, (_, default) in _SCALING_SETTINGS.items()}
     if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as err:
             raise CliError(EXIT_USAGE, f"cannot read config {args.config}: {err}") from err
-        for key, value in parse_config_text(text).items():
-            setattr(cfg, key, value)
-    # the scaling options' dests are the config fields; unset ones stay None
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    cfg.validate()
-    return cfg
+        cfg.update(parse_config_text(text))
+    # the scaling flags' dests are the setting keys; unset ones stay None
+    cfg.update((key, getattr(args, key)) for key in _SCALING_SETTINGS if getattr(args, key) is not None)
+    for key in ("n_values", "d_values"):
+        if not cfg[key]:
+            raise CliError(EXIT_USAGE, f"{key} must be non-empty")
+    return argparse.Namespace(**cfg)
 
 
 def _trial_graph(model: str, n: int, d: float, rng, chain_steps: int | None) -> Graph:
-    edges = round(n * d / 2)
-    if model == "process":
-        return triangle_free_process(n, steps=min(edges, n * (n - 1) // 2), rng=rng).graph
-    if model == "uniform-tf":
-        if edges > (n * n) // 4:
-            raise ValueError(f"average degree {d} infeasible for a triangle-free graph on {n}")
-        return sample_uniform_triangle_free(n, edges, chain_steps=chain_steps, rng=rng)
-    if model == "erdos-renyi":
-        if d > n - 1:
-            raise ValueError(f"average degree {d} exceeds n-1 = {n - 1}")
-        return erdos_renyi(n, d / (n - 1), rng)
-    raise ValueError(f"unknown model {model!r}")
+    size = size_for_degree(model, n, d)
+    if model == "process":  # more steps than pairs: the process runs to its end
+        size = min(size, pair_count(n))
+    return draw(model, n, size, rng, chain_steps)
 
 
 def _scaling_trial(spec) -> tuple[str, dict]:
@@ -356,10 +313,7 @@ def _scaling_trial(spec) -> tuple[str, dict]:
     mis = max_independent_set(g, budget=mis_budget)
     alpha_lo, alpha_hi = mis.as_interval()
     upper = n * alpha_hi / 2
-    try:
-        lower = lower_bound(g)
-    except GammaUndefinedError:
-        lower = None
+    lower = formula_floor(g)
     norm = n * n * math.log(d) / d
     degs = g.degrees()
     return (
@@ -399,7 +353,7 @@ def _median_or_none(values: list[float], total: int):
     return statistics.median(values)
 
 
-def _scaling_summary(cfg: ExperimentConfig, rows: list[dict], failures: list[dict]) -> dict:
+def _scaling_summary(cfg: argparse.Namespace, rows: list[dict], failures: list[dict]) -> dict:
     cells = []
     for n in cfg.n_values:
         for d in cfg.d_values:
@@ -530,70 +484,44 @@ def cmd_worst_case(args) -> int:
 
 
 def _sample_trial(spec) -> tuple[str, str]:
-    model, n, value, steps_spec, trial, seed, mis_budget, chain_steps = spec
-    rng = derive_rng(seed, trial)
-    if model == "process":
-        g = triangle_free_process(n, steps=steps_spec, rng=rng).graph
-    elif model == "uniform-tf":
-        g = sample_uniform_triangle_free(n, value, chain_steps=chain_steps, rng=rng)
-    else:
-        g = erdos_renyi(n, value, rng)
+    """One draw; the spec's size is its third entry, or its fourth when the third is None."""
+    model, n, size, steps, trial, seed, mis_budget, chain_steps = spec
+    g = draw(model, n, steps if size is None else size, derive_rng(seed, trial), chain_steps)
     stats = model_stats(g, mis_budget=mis_budget, seed=stream_key(seed, trial))
     return to_graph6(g), stats.to_json_line()
 
 
+# model: (the option giving its size, the largest size on n vertices, the
+# size when neither that option nor --d is given)
+_SAMPLE_SIZES = {
+    "process": ("steps", pair_count, TO_COMPLETION),
+    "uniform-tf": ("edges", lambda n: (n * n) // 4, None),
+    "erdos-renyi": ("p", lambda n: 1, None),
+}
+
+
 def cmd_sample(args) -> int:
     n = args.n
-    chosen = [x for x in (args.edges, args.d, args.p, args.steps) if x is not None]
-    if len(chosen) > 1:
+    option, largest, size = _SAMPLE_SIZES[args.model]
+    given = [name for name in ("edges", "d", "p", "steps") if getattr(args, name) is not None]
+    if len(given) > 1:
         raise CliError(EXIT_USAGE, "give at most one of --edges / --d / --p / --steps")
-
-    value = None
-    steps_spec = None
-    if args.model == "process":
-        if args.edges is not None or args.p is not None:
-            raise CliError(EXIT_USAGE, "the process model takes --steps or --d")
-        if args.d is not None:
-            steps_spec = round(n * args.d / 2)
-        elif args.steps is not None:
-            if args.steps == TO_COMPLETION:
-                steps_spec = TO_COMPLETION
-            else:
-                try:
-                    steps_spec = int(args.steps)
-                except ValueError as err:
-                    raise CliError(EXIT_USAGE, f'--steps takes an integer or "{TO_COMPLETION}"') from err
-        else:
-            steps_spec = TO_COMPLETION
-        if steps_spec != TO_COMPLETION and not 0 <= steps_spec <= n * (n - 1) // 2:
-            raise CliError(EXIT_USAGE, f"steps must lie in [0, {n * (n - 1) // 2}]")
-    elif args.model == "uniform-tf":
-        if args.p is not None or args.steps is not None:
-            raise CliError(EXIT_USAGE, "the uniform-tf model takes --edges or --d")
-        if args.d is not None:
-            value = round(n * args.d / 2)
-        elif args.edges is not None:
-            value = args.edges
-        else:
-            raise CliError(EXIT_USAGE, "uniform-tf needs --edges or --d")
-        if not 0 <= value <= (n * n) // 4:
-            raise CliError(EXIT_USAGE, f"edge count {value} infeasible (max {(n * n) // 4})")
-    else:  # erdos-renyi
-        if args.edges is not None or args.steps is not None:
-            raise CliError(EXIT_USAGE, "the erdos-renyi model takes --p or --d")
-        if args.d is not None:
-            if n < 2 or args.d > n - 1:
-                raise CliError(EXIT_USAGE, "need d <= n-1 for an edge probability")
-            value = args.d / (n - 1)
-        elif args.p is not None:
-            value = args.p
-        else:
-            raise CliError(EXIT_USAGE, "erdos-renyi needs --p or --d")
-        if not 0 <= value <= 1:
-            raise CliError(EXIT_USAGE, f"edge probability {value} outside [0, 1]")
+    if given and given[0] not in (option, "d"):
+        raise CliError(EXIT_USAGE, f"the {args.model} model takes --{option} or --d")
+    if args.d is not None:
+        try:
+            size = size_for_degree(args.model, n, args.d)
+        except ValueError as err:
+            raise CliError(EXIT_USAGE, str(err)) from err
+    elif given:
+        size = getattr(args, option)
+    elif size is None:
+        raise CliError(EXIT_USAGE, f"{args.model} needs --{option} or --d")
+    if size != TO_COMPLETION and not 0 <= size <= largest(n):
+        raise CliError(EXIT_USAGE, f"{option} {size} outside [0, {largest(n)}]")
 
     specs = [
-        (args.model, n, value, steps_spec, t, args.seed, args.mis_budget, args.chain_steps)
+        (args.model, n, size, None, t, args.seed, args.mis_budget, args.chain_steps)
         for t in range(args.trials)
     ]
     results = _run_trials(specs, args.jobs, _sample_trial)
@@ -654,16 +582,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("scaling", help="bound-ratio sweep over models of random pins")
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--model", choices=MODELS, default=None)
-    p.add_argument("--n-values", type=_int_list, default=None)
-    p.add_argument("--d-values", type=_float_list, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mis-budget", type=int, default=None)
-    p.add_argument("--chain-steps", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--output-dir", default=None)
-    p.add_argument("--prefix", default=None)
+    for key, (parse, _) in _SCALING_SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=parse, choices=MODELS if key == "model" else None)
     p.set_defaults(func=cmd_scaling)
 
     p = subs.add_parser("worst-case", help="minimum pinned value over pins with at most m edges")
@@ -681,7 +601,7 @@ def build_parser() -> _Parser:
     p.add_argument("--edges", type=int, default=None)
     p.add_argument("--d", type=_finite_float, default=None)
     p.add_argument("--p", type=_finite_float, default=None)
-    p.add_argument("--steps", default=None, help='process step count or "to-completion"')
+    p.add_argument("--steps", type=_steps, default=None, help='process step count or "to-completion"')
     p.add_argument("--trials", type=_at_least(1), default=1)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--mis-budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET)

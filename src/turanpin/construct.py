@@ -209,16 +209,14 @@ class CertificateReport:
     admissibility: AdmissibilityReport
 
     @property
+    def failed_checks(self) -> list[str]:
+        checks = ("triangle_free", "contains_base", "b1_ok", "b2_ok", "b3_ok", "edge_arithmetic_ok", "floor_ok")
+        # floor_ok None means no floor claim was made, which is no failure
+        return [name for name in checks if getattr(self, name) is not None and not getattr(self, name)]
+
+    @property
     def all_ok(self) -> bool:
-        return (
-            self.triangle_free
-            and self.contains_base
-            and self.b1_ok
-            and self.b2_ok
-            and self.b3_ok
-            and self.edge_arithmetic_ok
-            and self.floor_ok is not False
-        )
+        return not self.failed_checks
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,12 +252,18 @@ def certify(result: ConstructionResult, p: Graph) -> CertificateReport:
 
 
 def write_construction(result: ConstructionResult, p: Graph, out_prefix: str) -> tuple[str, str]:
-    """Dump the output graph (graph6) and its certificate (JSON)."""
+    """Certify the result, then dump the output graph (graph6) and its certificate (JSON).
+
+    A result that fails its certificate is a broken invariant: RuntimeError
+    naming the failed checks, and neither file is written.
+    """
+    cert = certify(result, p)
+    if not cert.all_ok:
+        raise RuntimeError(f"construction failed its own certificate: {', '.join(cert.failed_checks)}")
     g6_path = f"{out_prefix}.g6"
     cert_path = f"{out_prefix}.cert.json"
     with open(g6_path, "w") as fh:
         fh.write(to_graph6(result.g) + "\n")
-    cert = certify(result, p)
     payload = {"result": result.to_json_dict(), "certificate": cert.to_json_dict()}
     with open(cert_path, "w") as fh:
         json.dump(payload, fh, indent=2)

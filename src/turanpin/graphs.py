@@ -220,6 +220,14 @@ def components(g: Graph) -> list[int]:
     return comps
 
 
+def induced_rows(g: Graph, mask: int) -> tuple[list[int], list[int]]:
+    """The vertices of ``mask`` in increasing order, and the adjacency rows
+    of the subgraph they induce, renumbered 0..k-1 in that order."""
+    verts = list(iter_bits(mask))
+    index = {v: i for i, v in enumerate(verts)}
+    return verts, [sum(1 << index[w] for w in iter_bits(g.adj[v] & mask)) for v in verts]
+
+
 # ---------------------------------------------------------------------------
 # Small named constructions used throughout tests and demos
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from turanpin.graphs import Graph, components, iter_bits
+from turanpin.graphs import Graph, components, induced_rows, iter_bits
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -142,9 +142,7 @@ def max_independent_set(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MisResul
     for comp in components(g):
         # search the component on its own vertices, renumbered in increasing
         # order so that every lowest-index and first-maximum choice is kept
-        verts = list(iter_bits(comp))
-        index = {v: i for i, v in enumerate(verts)}
-        rows = [sum(1 << index[w] for w in iter_bits(adj[v])) for v in verts]
+        verts, rows = induced_rows(g, comp)
         every = (1 << len(verts)) - 1
         # lowest-index min-degree greedy warm-starts the incumbent
         best_mask = _min_degree_greedy(rows, every, lambda k: 0)

@@ -26,8 +26,9 @@ from turanpin.graphs import (
     Graph,
     components,
     find_triangle,
-    is_triangle_free,
     index_to_pair,
+    induced_rows,
+    is_triangle_free,
     iter_bits,
     subgraph_of,
     to_graph6,
@@ -246,16 +247,10 @@ def canonical_key(g: Graph) -> tuple:
     """Isomorphism-invariant key: sorted canonical forms of the components."""
     keys = []
     for comp in components(g):
-        verts = list(iter_bits(comp))
-        k = len(verts)
+        k = comp.bit_count()
         if k > MAX_CANON_COMPONENT:
             raise ValueError(f"component has {k} > {MAX_CANON_COMPONENT} vertices")
-        back = {v: i for i, v in enumerate(verts)}
-        local = [0] * k
-        for i, v in enumerate(verts):
-            for w in iter_bits(g.adj[v] & comp):
-                local[i] |= 1 << back[w]
-        keys.append((k, _min_bits(local, k)))
+        keys.append((k, _min_bits(induced_rows(g, comp)[1], k)))
     return (g.n, tuple(sorted(keys)))
 
 

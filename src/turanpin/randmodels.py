@@ -10,8 +10,11 @@ Three generators share a seedable numpy RNG discipline:
     by a Metropolis edge-swap chain, with an exact rejection sampler at
     n <= 7 as the gold standard.
 
-Per-trial generators derive from a master seed and index path through
-numpy's SeedSequence, so parallel trials reproduce bit for bit.
+``draw`` runs any of them by model name, with one size parameter each
+(step count, edge count or edge probability); ``size_for_degree`` turns a
+target average degree into that size.  Per-trial generators derive from a
+master seed and index path through numpy's SeedSequence, so parallel trials
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from turanpin.graphs import (
 from turanpin.mis import DEFAULT_NODE_BUDGET, max_independent_set
 
 TO_COMPLETION = "to-completion"
+
+MODELS = ("process", "uniform-tf", "erdos-renyi")
 
 _REJECTION_MAX_N = 7
 
@@ -254,6 +259,53 @@ class MetropolisChain:
         self.accepted += 1
 
 
+def size_for_degree(model: str, n: int, d: float) -> int | float:
+    """The size of ``model`` that targets average degree d on n vertices.
+
+    That is the edge count round(n * d / 2) for the process and uniform-tf
+    (the process count may exceed its pair count) and p = d / (n - 1) for
+    erdos-renyi; raises ValueError where no graph of the model has degree d.
+    """
+    if model == "erdos-renyi":
+        if d > n - 1:
+            raise ValueError(f"average degree {d} exceeds n-1 = {n - 1}")
+        if n < 2:
+            raise ValueError("an edge probability needs n >= 2")
+        return d / (n - 1)
+    edges = round(n * d / 2)
+    if model == "uniform-tf" and edges > (n * n) // 4:
+        raise ValueError(f"average degree {d} infeasible for a triangle-free graph on {n}")
+    return edges
+
+
+def draw(model: str, n: int, size, rng, chain_steps: int | None = None) -> Graph:
+    """One graph of ``model`` on n vertices.
+
+    ``size`` is the process step count (or TO_COMPLETION), the uniform-tf
+    edge count or the erdos-renyi edge probability; ``chain_steps`` is the
+    uniform-tf burn-in.
+    """
+    if model == "process":
+        return triangle_free_process(n, steps=size, rng=rng).graph
+    if model == "uniform-tf":
+        return sample_uniform_triangle_free(n, size, chain_steps=chain_steps, rng=rng)
+    if model == "erdos-renyi":
+        return erdos_renyi(n, size, rng)
+    raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+
+
+def _triangle_free_rows(n: int, pair_ids) -> list[int] | None:
+    """Adjacency rows of the graph on these pair indices; None once one closes a triangle."""
+    rows = [0] * n
+    for k in pair_ids:
+        u, v = index_to_pair(int(k), n)
+        if rows[u] & rows[v]:
+            return None
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
 def exact_rejection_sample(n: int, edges: int, rng=None, max_tries: int = 10**7) -> Graph:
     """Exactly uniform: draw edge sets uniformly, accept iff triangle-free.
 
@@ -269,17 +321,8 @@ def exact_rejection_sample(n: int, edges: int, rng=None, max_tries: int = 10**7)
         rng = np.random.default_rng(0)
     total = pair_count(n)
     for _ in range(max_tries):
-        ids = rng.choice(total, size=edges, replace=False)
-        rows = [0] * n
-        ok = True
-        for k in ids:
-            u, v = index_to_pair(int(k), n)
-            if rows[u] & rows[v]:
-                ok = False
-                break
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        if ok:
+        rows = _triangle_free_rows(n, rng.choice(total, size=edges, replace=False))
+        if rows is not None:
             return Graph(n, rows, validate=False)
     raise RuntimeError("rejection sampler exceeded its retry limit")
 
@@ -289,16 +332,8 @@ def enumerate_labeled_triangle_free(n: int, edges: int):
     if n > _REJECTION_MAX_N:
         raise ValueError(f"exhaustive enumeration is limited to n <= {_REJECTION_MAX_N}")
     for combo in itertools.combinations(range(pair_count(n)), edges):
-        rows = [0] * n
-        ok = True
-        for k in combo:
-            u, v = index_to_pair(k, n)
-            if rows[u] & rows[v]:
-                ok = False
-                break
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        if ok:
+        rows = _triangle_free_rows(n, combo)
+        if rows is not None:
             yield Graph(n, rows, validate=False)
 
 

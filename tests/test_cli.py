@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, exit codes, config grammar, determinism."""
 
 import csv
+import dataclasses
 import json
 from importlib import resources
 
@@ -26,6 +27,7 @@ from turanpin.graphs import (
     star_graph,
     write_graph,
 )
+from turanpin import construct
 from turanpin.randmodels import derive_rng
 
 
@@ -214,6 +216,22 @@ def test_construct_internal_error_exit_70(g6, tmp_path, capsys, monkeypatch):
     assert err == "error: internal error: invariant broken on purpose\n"
 
 
+def test_construct_certificate_failure_exit_70(g6, tmp_path, capsys, monkeypatch):
+    certify = construct.certify
+
+    def failing_certify(result, p):
+        return dataclasses.replace(certify(result, p), b2_ok=False)
+
+    monkeypatch.setattr("turanpin.construct.certify", failing_certify)
+    pin = g6("p.g6", star_graph(2, n=5))
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, ["construct", pin, "--output-dir", str(outdir)])
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("error: internal error:") and err.count("\n") == 1
+    assert "b2_ok" in err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_exact_internal_error_exit_70(g6, capsys, monkeypatch):
     monkeypatch.setattr("turanpin.cli.exact_ex", _raise_runtime_error)
     code, out, err = run(capsys, ["exact", g6("e5.g6", Graph(5))])
@@ -287,6 +305,26 @@ def test_sample_model_flag_validation(capsys):
     assert run(capsys, ["sample", "--model", "uniform-tf", "--n", "6", "--edges", "10"])[0] == EXIT_USAGE
     assert run(capsys, ["sample", "--model", "erdos-renyi", "--n", "6", "--p", "1.5"])[0] == EXIT_USAGE
     assert run(capsys, ["sample", "--model", "erdos-renyi", "--n", "6", "--d", "9"])[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "model, d, size",
+    [
+        ("process", 3.0, ["--steps", "18"]),
+        ("uniform-tf", 3.0, ["--edges", "18"]),
+        ("erdos-renyi", 2.2, ["--p", str(2.2 / 11)]),
+    ],
+)
+def test_sample_d_matches_its_size_option(model, d, size, tmp_path, capsys):
+    for sub, size_args in (("by_d", ["--d", str(d)]), ("by_size", size)):
+        code, _, _ = run(
+            capsys,
+            ["sample", "--model", model, "--n", "12", *size_args, "--trials", "3", "--seed", "8",
+             "--output-dir", str(tmp_path / sub)],
+        )
+        assert code == EXIT_OK
+    for name in ("sample.g6", "sample.stats.jsonl"):
+        assert (tmp_path / "by_d" / name).read_bytes() == (tmp_path / "by_size" / name).read_bytes()
 
 
 def test_sample_steps_spellings(tmp_path, capsys):
@@ -393,6 +431,36 @@ def test_scaling_config_validation(tmp_path, capsys):
         == EXIT_USAGE
     )
     assert run(capsys, ["scaling", "--config", str(tmp_path / "nope.cfg")])[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_values", "2"),
+        ("d_values", "1.0"),
+        ("d_values", "inf"),
+        ("trials", "0"),
+        ("seed", "-1"),
+        ("mis_budget", "0"),
+        ("chain_steps", "-1"),
+        ("jobs", "0"),
+        ("model", "bogus"),
+    ],
+)
+def test_out_of_range_scaling_setting_exits_1(key, value, source, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a command that ran anyway would write
+    settings = {"n_values": "10", "d_values": "2.0", "trials": "1", key: value}
+    if source == "flag":
+        argv = ["scaling"] + [x for k, v in settings.items() for x in ("--" + k.replace("_", "-"), v)]
+    else:
+        (tmp_path / "sweep.cfg").write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        argv = ["scaling", "--config", "sweep.cfg"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""
+    assert [f.name for f in tmp_path.iterdir()] == (["sweep.cfg"] if source == "config" else [])
 
 
 def test_scaling_per_trial_failures_counted(tmp_path, capsys):

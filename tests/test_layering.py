@@ -62,3 +62,17 @@ def test_no_function_level_package_imports():
                 assert not _turanpin_targets(node), (
                     f"{name}.{fn.name} imports from turanpin at line {node.lineno}"
                 )
+
+
+def test_cli_draws_graphs_only_through_randmodels_draw():
+    samplers = {"triangle_free_process", "sample_uniform_triangle_free", "erdos_renyi"}
+    tree = _parsed_modules()["cli"]
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & samplers, f"cli uses {sorted(names & samplers)} directly"
