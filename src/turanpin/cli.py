@@ -116,6 +116,9 @@ def _at_least(k: int):
 
 _finite_float = _checked(float, math.isfinite, "finite")
 
+# every command's seed: an unsigned 64-bit integer
+_seed = _checked(int, lambda seed: 0 <= seed < 2**64, "in [0, 2**64)")
+
 
 def _list_of(item):
     """argparse type for a comma- or space-separated list of ``item`` values."""
@@ -250,7 +253,7 @@ _SCALING_SETTINGS = {
     "n_values": (_list_of(_at_least(3)), None),
     "d_values": (_list_of(_checked(float, lambda d: math.isfinite(d) and d > 1, "finite and > 1")), None),
     "trials": (_at_least(1), 1),
-    "seed": (_checked(int, lambda seed: 0 <= seed < 2**64, "in [0, 2**64)"), 0),
+    "seed": (_seed, 0),
     "mis_budget": (_at_least(1), DEFAULT_NODE_BUDGET),
     "chain_steps": (_at_least(0), None),
     "jobs": (_at_least(1), 1),
@@ -463,7 +466,7 @@ def cmd_worst_case(args) -> int:
                 fh.write(row.to_json_line() + "\n")
                 rows.append(row)
     except BudgetExhaustedError as err:
-        print(f"search budget exhausted: {err}", file=sys.stderr)
+        print(err, file=sys.stderr)
         print(f"partial rows kept in {rows_path}", file=sys.stderr)
         return EXIT_BUDGET
     best = min(rows, key=lambda r: r.value)
@@ -567,7 +570,7 @@ def build_parser() -> _Parser:
     _add_graph_input(p)
     p.add_argument("--mode", choices=MODES, default="exact-mis")
     p.add_argument("--bipartitions", type=_at_least(0), default=0, help="extra random balanced splits to try")
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mis-budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--prefix", default="construction")
@@ -603,7 +606,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=_finite_float, default=None)
     p.add_argument("--steps", type=_steps, default=None, help='process step count or "to-completion"')
     p.add_argument("--trials", type=_at_least(1), default=1)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mis-budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET)
     p.add_argument("--chain-steps", type=_at_least(0), default=None)
     p.add_argument("--jobs", type=_at_least(1), default=1)

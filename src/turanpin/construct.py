@@ -21,6 +21,7 @@ from turanpin.conflict import AdmissibilityReport, build_aux_slice, is_admissibl
 from turanpin.graphs import (
     Graph,
     balanced_bipartition,
+    components,
     crossing_pairs,
     find_triangle,
     iter_bits,
@@ -83,44 +84,40 @@ def _random_balanced_masks(n: int, rng) -> tuple[int, int]:
 
 
 def pin_bipartite_completion(p: Graph) -> Graph | None:
-    """Largest complete bipartite supergraph compatible with the pin.
+    """Largest complete bipartite supergraph of the pin; None when the pin
+    is not bipartite.
 
-    Two-colors the pin; None when some component is not bipartite.  The
-    free vertices then pad the smaller side, so the output is the complete
-    bipartite graph on parts as balanced as the coloring allows.
+    Each component's 2-colouring is fixed up to swapping its classes (an
+    isolated vertex has classes of sizes 1 and 0).  A bitset subset sum over
+    the classes gives every reachable left-side size s; the first s that
+    maximises s * (n - s) is traced back to the sides.
     """
     n = p.n
-    color = [-1] * n
-    comps = []
-    for v0 in range(n):
-        if color[v0] != -1 or p.adj[v0] == 0:
-            continue
-        color[v0] = 0
-        part = [{v0}, set()]
-        queue = [v0]
-        while queue:
-            v = queue.pop()
-            for w in iter_bits(p.adj[v]):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    part[color[w]].add(w)
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-        comps.append(part)
-    left: set[int] = set()
-    right: set[int] = set()
-    for c0, c1 in sorted(comps, key=lambda c: -(len(c[0]) + len(c[1]))):
-        if len(left) + len(c0) <= len(right) + len(c1):
-            left |= c0
-            right |= c1
-        else:
-            left |= c1
-            right |= c0
-    for v in range(n):
-        if color[v] == -1:
-            (left if len(left) <= len(right) else right).add(v)
-    return Graph.from_edges(n, [(u, v) for u in left for v in right])
+    classes = []
+    for comp in components(p):
+        side = [comp & -comp, 0]
+        k, frontier = 0, side[0]
+        while frontier:
+            grown = 0
+            for v in iter_bits(frontier):
+                grown |= p.adj[v]
+            if grown & side[k]:
+                return None  # an edge inside one class closes an odd cycle
+            k ^= 1
+            frontier = grown & ~side[k]
+            side[k] |= frontier
+        classes.append(side)
+    reach = [1]  # reach[i] bit s: some choice over the first i components puts s on the left
+    for c0, c1 in classes:
+        reach.append(reach[-1] << c0.bit_count() | reach[-1] << c1.bit_count())
+    s = max((t for t in range(n + 1) if reach[-1] >> t & 1), key=lambda t: t * (n - t))
+    left = 0
+    for (c0, c1), before in zip(reversed(classes), reversed(reach[:-1])):
+        c = c0 if s >= c0.bit_count() and before >> (s - c0.bit_count()) & 1 else c1
+        left |= c
+        s -= c.bit_count()
+    right = ((1 << n) - 1) ^ left
+    return Graph(n, [right if left >> v & 1 else left for v in range(n)], validate=False)
 
 
 def construct_admissible(

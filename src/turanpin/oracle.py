@@ -1,13 +1,22 @@
 """Ground truth for pinned triangle-free edge maxima.
 
-``exact_ex`` runs a branch and bound over supergraphs of the pin.  The
-candidates are kept as per-vertex rows: bit v of row u is set iff {u, v} can
-still be added without closing a triangle.  The branch variable is the
-candidate whose addition removes the most other candidates, and the bound
-combines per-vertex candidate counts with a clique-cover cap on the
-independence number (final edge count is at most n * alpha / 2).  The search
-is a loop over an explicit stack that expands the include child first.  The
-greedy seed (``greedy_completion``) is the search's include-only walk.
+``exact_ex`` consults two theorems before it searches.  A bipartite pin's
+best bipartite supergraph is the exact complete bipartite completion
+(``construct.pin_bipartite_completion``).  Every other triangle-free
+supergraph is non-bipartite, and by Brouwer (1981) a non-bipartite
+triangle-free graph on n >= 5 vertices has at most floor((n-1)^2/4) + 1
+edges.  The incumbent is the completion or, for a non-bipartite pin,
+``duplication_seed``.  An incumbent that reaches the larger of the two caps
+is optimal at 0 nodes; otherwise that cap bounds a branch and bound over
+supergraphs of the pin.
+
+The search keeps its candidates as per-vertex rows: bit v of row u is set
+iff {u, v} can still be added without closing a triangle.  The branch
+variable is the candidate whose addition removes the most other candidates,
+and the bound combines per-vertex candidate counts with a clique-cover cap
+on the independence number (final edge count is at most n * alpha / 2).
+The search is a loop over an explicit stack that expands the include child
+first.
 
 ``worst_case_ex`` minimizes the oracle value over all isomorphism classes
 of triangle-free pins with at most m edges, produced by an edge-addition
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from turanpin.conflict import build_b1
-from turanpin.construct import construct_admissible, pin_bipartite_completion
+from turanpin.construct import pin_bipartite_completion
 from turanpin.graphs import (
     Graph,
     components,
@@ -133,26 +142,6 @@ def _include(rows: list[int], cand: list[int], u: int, v: int) -> tuple[list[int
     return rows, cand
 
 
-def greedy_completion(p: Graph) -> Graph:
-    """Add pairs one at a time (most-conflicting first) until maximal."""
-    rows, cand = list(p.adj), _candidate_rows(p)
-    while any(cand):
-        rows, cand = _include(rows, cand, *_most_conflicting(rows, cand))
-    return Graph(p.n, rows, validate=False)
-
-
-def _seed_graphs(p: Graph) -> list[Graph]:
-    seeds = [greedy_completion(p), duplication_seed(p)]
-    bip = pin_bipartite_completion(p)
-    if bip is not None:
-        seeds.append(bip)
-    try:
-        seeds.append(construct_admissible(p, mis_budget=200_000).g)
-    except (ValueError, RuntimeError):
-        pass
-    return seeds
-
-
 def exact_ex(p: Graph, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
     """Maximum edge count over triangle-free supergraphs of p on its own
     vertex set.  ``proved`` is False only on budget exhaustion, in which
@@ -161,24 +150,21 @@ def exact_ex(p: Graph, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
     if tri is not None:
         raise ValueError(f"pin must be triangle-free, found triangle {tri}")
     n = p.n
-    cap = (n * n) // 4
     if n < 2:
         return OracleResult(0, p, 0, True)
-
-    # seed the incumbent with cheap constructions
-    best_g = p
-    for s in _seed_graphs(p):
-        if s.edge_count > best_g.edge_count and subgraph_of(p, s) and is_triangle_free(s):
-            best_g = s
+    # a bipartite supergraph has at most the completion's edges, any other at
+    # most Brouwer's cap; below n = 5 every pin is bipartite and its
+    # completion, with at least n - 1 edges, reaches the cap
+    cap = (n - 1) ** 2 // 4 + 1
+    # cloning keeps a bipartite pin bipartite, so it only helps the others
+    best_g = pin_bipartite_completion(p) or duplication_seed(p)
     best, best_rows = best_g.edge_count, list(best_g.adj)
-    if best >= cap:
-        return OracleResult(cap, Graph(n, best_rows, validate=False), 0, True)
 
     full = (1 << n) - 1
     nodes = 0
     exhausted = False
     # each entry is one search node: working rows, their edge count, candidate rows
-    stack = [(list(p.adj), p.edge_count, _candidate_rows(p))]
+    stack = [] if best >= cap else [(list(p.adj), p.edge_count, _candidate_rows(p))]
     while stack:
         if nodes >= budget:
             exhausted = True

@@ -128,6 +128,23 @@ def test_out_of_range_integer_options_exit_1(argv, g6, tmp_path, capsys, monkeyp
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sample", "--model", "process", "--n", "5"],
+        ["construct", "PIN"],
+        ["scaling", "--n-values", "8", "--d-values", "2.0"],
+    ],
+)
+def test_seed_range_is_64_bit(argv, g6, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [g6("c5.g6", cycle_graph(5, n=7)) if a == "PIN" else a for a in argv]
+    code, out, err = run(capsys, argv + ["--seed", str(2**64)])
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert run(capsys, argv + ["--seed", str(2**64 - 1), "--output-dir", "out"])[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["sample", "--model", "uniform-tf", "--n", "10", "--d", "nan"],
         ["sample", "--model", "process", "--n", "10", "--d", "inf"],
         ["sample", "--model", "erdos-renyi", "--n", "10", "--d", "-inf"],
@@ -196,7 +213,7 @@ def test_exact_values(g6, capsys):
 
 
 def test_exact_budget_exhausted_exit_3(g6, capsys):
-    pin = g6("c5pad.g6", cycle_graph(5, n=9))
+    pin = g6("c7pad.g6", cycle_graph(7, n=9))
     code, out, err = run(capsys, ["exact", pin, "--budget", "2"])
     assert code == EXIT_BUDGET
     payload = json.loads(out)
@@ -266,9 +283,18 @@ def test_worst_case_star_only(tmp_path, capsys):
 
 def test_worst_case_budget_exit_3(tmp_path, capsys):
     code, _, err = run(
-        capsys, ["worst-case", "5", "7", "--budget", "5", "--output-dir", str(tmp_path)]
+        capsys, ["worst-case", "6", "9", "--budget", "5", "--output-dir", str(tmp_path)]
     )
     assert code == EXIT_BUDGET and "budget" in err
+
+
+def test_worst_case_budget_error_printed_once(tmp_path, capsys):
+    code, out, err = run(
+        capsys, ["worst-case", "6", "9", "--budget", "5", "--output-dir", str(tmp_path)]
+    )
+    assert code == EXIT_BUDGET and out == ""
+    assert err.count("search budget exhausted") == 1
+    assert err.splitlines()[-1] == f"partial rows kept in {tmp_path / 'worst_case.rows.jsonl'}"
 
 
 def test_worst_case_bad_args(capsys):

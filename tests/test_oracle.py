@@ -3,17 +3,18 @@
 import itertools
 import json
 import random
+import sys
 
 import networkx as nx
 import pytest
 
 from turanpin.bounds import GammaUndefinedError, lower_bound, upper_bound
+from turanpin.construct import pin_bipartite_completion
 from turanpin.graphs import (
     Graph,
     count_cherries,
     cycle_graph,
     is_triangle_free,
-    iter_bits,
     path_graph,
     star_graph,
     subgraph_of,
@@ -25,7 +26,6 @@ from turanpin.oracle import (
     duplication_seed,
     enumerate_pinned,
     exact_ex,
-    greedy_completion,
     iter_worst_case_rows,
     worst_case_ex,
 )
@@ -58,36 +58,6 @@ def random_triangle_free(n, rng, density=0.3):
             if is_triangle_free(h):
                 g = h
     return g
-
-
-def reference_greedy_completion(p):
-    """Rescanning greedy: list every addable pair at each step, add the first
-    one whose addition makes the most other pairs unaddable."""
-    n = p.n
-    rows = list(p.adj)
-    while True:
-        cands = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if not rows[u] & (1 << v) and not rows[u] & rows[v]:
-                    cands.append((u, v))
-        if not cands:
-            return Graph(n, rows, validate=False)
-
-        def kills(e):
-            u, v = e
-            k = 0
-            for w in iter_bits(rows[v]):
-                if w != u and not rows[u] & (1 << w) and not rows[u] & rows[w]:
-                    k += 1
-            for w in iter_bits(rows[u]):
-                if w != v and not rows[v] & (1 << w) and not rows[v] & rows[w]:
-                    k += 1
-            return k
-
-        u, v = max(cands, key=kills)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
 
 
 class TestExactValues:
@@ -146,7 +116,8 @@ class TestWitness:
             assert subgraph_of(p, r.witness)
 
     def test_budget_exhaustion_keeps_validity(self):
-        p = cycle_graph(5, n=10)
+        # a padded C7 needs 113 nodes to prove; a padded C5 meets Brouwer's cap at 0
+        p = cycle_graph(7, n=10)
         r = exact_ex(p, budget=20)
         assert not r.proved and r.nodes == 20
         assert is_triangle_free(r.witness) and subgraph_of(p, r.witness)
@@ -226,24 +197,75 @@ class TestSeeds:
         assert s.edge_count >= 20
         assert is_triangle_free(s) and subgraph_of(p, s)
 
-    def test_greedy_completion_is_maximal(self):
-        rng = random.Random(48)
+
+def atlas_triangle_free():
+    """Every triangle-free graph of networkx's atlas (up to 7 vertices)."""
+    for h in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+        if is_triangle_free(g):
+            yield h, g
+
+
+def brute_bipartite_completion(p):
+    """Max |L| * |R| over all vertex splits with no pin edge inside a side."""
+    n = p.n
+    best = 0
+    for left in range(1 << n):
+        if all((left >> u & 1) != (left >> v & 1) for u, v in p.edges()):
+            best = max(best, left.bit_count() * (n - left.bit_count()))
+    return best
+
+
+class TestCaps:
+    def check_completion(self, p, bipartite):
+        g = pin_bipartite_completion(p)
+        assert (g is None) == (not bipartite)
+        if g is not None:
+            assert subgraph_of(p, g) and is_triangle_free(g)
+            assert g.edge_count == brute_bipartite_completion(p)
+
+    def test_bipartite_completion_matches_brute_force(self):
+        rng = random.Random(51)
+        for _ in range(150):
+            p = random_triangle_free(rng.randrange(1, 9), rng, density=rng.choice([0.1, 0.3, 0.6]))
+            h = nx.Graph(list(p.edges()))
+            h.add_nodes_from(range(p.n))
+            self.check_completion(p, nx.is_bipartite(h))
+
+    def test_bipartite_completion_on_atlas(self):
+        for h, g in atlas_triangle_free():
+            for n in (g.n, 8):
+                self.check_completion(g.padded(n), nx.is_bipartite(h))
+
+    def test_brouwer_cap_on_atlas(self):
+        for h, g in atlas_triangle_free():
+            if not nx.is_bipartite(h):
+                assert g.edge_count <= (g.n - 1) ** 2 // 4 + 1
+
+    def test_padded_c5_proved_at_zero_nodes(self):
+        for n in range(5, 41):
+            r = exact_ex(cycle_graph(5, n=n))
+            assert r.proved and r.nodes == 0
+            assert r.value == (n - 1) ** 2 // 4 + 1
+
+    def test_six_edge_table_at_twelve_proved(self):
+        r = worst_case_ex(6, 12, budget=100_000)
+        assert len(r.rows) == 80 and all(row.proved for row in r.rows)
+
+    def test_oracle_runs_no_mis_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact_ex ran an MIS search")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "turanpin":
+                for fn in ("max_independent_set", "construct_admissible"):
+                    if hasattr(module, fn):
+                        monkeypatch.setattr(module, fn, forbidden)
+        rng = random.Random(52)
         for _ in range(30):
             p = random_triangle_free(rng.randrange(2, 9), rng)
-            g = greedy_completion(p)
-            assert is_triangle_free(g) and subgraph_of(p, g)
-            n = g.n
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if not g.has_edge(u, v):
-                        assert not is_triangle_free(g.with_edges([(u, v)]))
-
-    def test_greedy_completion_matches_rescanning_reference(self):
-        rng = random.Random(50)
-        for _ in range(200):
-            n = rng.randrange(1, 31)
-            p = random_triangle_free(n, rng, density=rng.choice([0.02, 0.05, 0.1, 0.3]))
-            assert greedy_completion(p).adj == reference_greedy_completion(p).adj
+            r = exact_ex(p)
+            assert r.proved and r.value == brute_ex(p)
 
 
 class TestCanonicalKey:
@@ -347,12 +369,12 @@ class TestWorstCase:
         assert exact_ex(r.minimizer).value == r.value
 
     def test_budget_error_reports_remaining(self):
-        # m=5 at n=7 includes pins (stars, the 5-cycle) that cannot be
-        # proved by seeds alone, so a tiny node budget must trip the error
+        # the m=6, n=9 table needs 174 nodes in total, so a budget of 5 must
+        # trip the error
         with pytest.raises(BudgetExhaustedError) as exc:
-            list(iter_worst_case_rows(5, 7, budget=5))
+            list(iter_worst_case_rows(6, 9, budget=5))
         assert exc.value.remaining >= 1
-        assert exc.value.done + exc.value.remaining == len(list(enumerate_pinned(5, max_support=7)))
+        assert exc.value.done + exc.value.remaining == len(list(enumerate_pinned(6, max_support=9)))
 
     def test_rows_serialize_to_json_lines(self):
         rows = list(iter_worst_case_rows(2, 6))
