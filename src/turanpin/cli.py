@@ -140,9 +140,13 @@ def _steps(text: str):
         raise argparse.ArgumentTypeError(f'takes an integer or "{TO_COMPLETION}", got {text}') from None
 
 
+# --format choices, by the names graphs.read_graph knows them by
+_FORMATS = {"g6": "graph6", "edges": "edge-list"}
+
+
 def _load_pin(path: str, fmt: str | None) -> Graph:
     try:
-        return read_graph(path, fmt)
+        return read_graph(path, _FORMATS.get(fmt))
     except (FileNotFoundError, IsADirectoryError) as err:
         raise CliError(EXIT_USAGE, f"cannot read {path}: {err}") from err
     except (GraphFormatError, ValueError, OSError) as err:
@@ -551,7 +555,7 @@ def cmd_sample(args) -> int:
 
 def _add_graph_input(sub) -> None:
     sub.add_argument("graph", help="input graph file (graph6 or edge-list)")
-    sub.add_argument("--format", choices=("g6", "edges"), default=None, help="override format inference")
+    sub.add_argument("--format", choices=tuple(_FORMATS), default=None, help="override format inference")
 
 
 def build_parser() -> _Parser:

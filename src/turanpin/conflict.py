@@ -11,8 +11,9 @@ triangle uses:
 
 So G = P + I is triangle-free iff I avoids b1, is independent under b2
 adjacency, and is triangle-free as a graph.  This module builds these
-objects; the pair-vertex universe (all of C([n],2)) is never materialized,
-only its restriction to a given candidate set.
+objects.  A pair is the tuple (u, v) with u < v, and every list of pairs is
+in lexicographic order.  The conflict graph on all C(n, 2) pairs is never
+materialized, only its restriction to a given candidate set.
 """
 
 from __future__ import annotations
@@ -24,17 +25,24 @@ from turanpin.graphs import (
     DimensionMismatchError,
     Graph,
     find_triangle,
-    index_to_pair,
     is_triangle_free,
     iter_bits,
-    pair_count,
-    pair_to_index,
     subgraph_of,
 )
 
+Pair = tuple[int, int]
 
-def build_b1(p: Graph) -> set[int]:
-    """Pair ids whose endpoints have a common neighbor in p.
+
+def _pair(e, n: int) -> Pair:
+    """e as (u, v) with u < v; ValueError unless it names two distinct vertices below n."""
+    u, v = sorted(e)
+    if u == v or u < 0 or v >= n:
+        raise ValueError(f"invalid pair {tuple(e)} for n={n}")
+    return u, v
+
+
+def build_b1(p: Graph) -> set[Pair]:
+    """Pairs whose endpoints have a common neighbor in p.
 
     Adding such a pair closes a triangle with two p-edges.  The size is at
     most the cherry count of p (each violating pair sits inside some
@@ -43,30 +51,30 @@ def build_b1(p: Graph) -> set[int]:
     tri = find_triangle(p)
     if tri is not None:
         raise ValueError(f"pin must be triangle-free, found triangle {tri}")
-    out: set[int] = set()
+    out: set[Pair] = set()
     for w in range(p.n):
         row = p.adj[w]
         for u in iter_bits(row):
             for dv in iter_bits(row >> (u + 1)):
-                out.add(pair_to_index(u, u + 1 + dv, p.n))
+                out.add((u, u + 1 + dv))
     return out
 
 
-def b2_neighbors(p: Graph, e1: int) -> list[int]:
+def _b2(p: Graph, u: int, v: int) -> list[Pair]:
+    """The b2 neighbors of the valid pair (u, v), unsorted."""
+    out = [(u, w) if u < w else (w, u) for w in iter_bits(p.adj[v] & ~(1 << u))]
+    out += [(v, w) if v < w else (w, v) for w in iter_bits(p.adj[u] & ~(1 << v))]
+    return out
+
+
+def b2_neighbors(p: Graph, e1: Pair) -> list[Pair]:
     """Pairs that together with e1 and one p-edge would close a triangle.
 
     For e1 = {u, v}: every {u, w} with w a p-neighbor of v (w != u), and
     every {v, w} with w a p-neighbor of u (w != v).  Symmetric as a
-    relation; never contains e1 itself; free of duplicates.
+    relation; never contains e1 itself; free of duplicates; sorted.
     """
-    u, v = index_to_pair(e1, p.n)
-    out = []
-    for w in iter_bits(p.adj[v] & ~(1 << u)):
-        out.append(pair_to_index(u, w, p.n))
-    for w in iter_bits(p.adj[u] & ~(1 << v)):
-        out.append(pair_to_index(v, w, p.n))
-    out.sort()
-    return out
+    return sorted(_b2(p, *_pair(e1, p.n)))
 
 
 def b2_edge_total(p: Graph) -> int:
@@ -76,22 +84,22 @@ def b2_edge_total(p: Graph) -> int:
     out to e(p) * (n - 2); kept as a computed quantity so tests can compare
     against that closed form instead of assuming it.
     """
-    return sum(len(b2_neighbors(p, k)) for k in range(pair_count(p.n))) // 2
+    return sum(len(_b2(p, u, v)) for u in range(p.n) for v in range(u + 1, p.n)) // 2
 
 
 @dataclass(frozen=True)
 class AuxSlice:
     """Conflict graph restricted to surviving candidate pairs.
 
-    ``s_prime`` lists candidate pair ids (sorted) that avoid both the pin's
+    ``s_prime`` lists the candidate pairs (sorted) that avoid both the pin's
     own edges and the b1 set; ``b2_adj`` is the b2 adjacency among them as
     bitsets over positions in ``s_prime``.
     """
 
     n: int
     base: Graph
-    forbidden: frozenset[int]
-    s_prime: tuple[int, ...]
+    forbidden: frozenset[Pair]
+    s_prime: tuple[Pair, ...]
     b2_adj: tuple[int, ...]
 
     def slice_graph(self) -> Graph:
@@ -100,31 +108,30 @@ class AuxSlice:
     def slice_edge_count(self) -> int:
         return sum(row.bit_count() for row in self.b2_adj) // 2
 
-    def pairs_from_mask(self, mask: int) -> list[tuple[int, int]]:
+    def pairs_from_mask(self, mask: int) -> list[Pair]:
         """Decode a vertex mask of the slice graph back to vertex pairs."""
-        return [index_to_pair(self.s_prime[i], self.n) for i in iter_bits(mask)]
+        return [self.s_prime[i] for i in iter_bits(mask)]
 
 
-def build_aux_slice(p: Graph, s: Iterable[int]) -> AuxSlice:
+def build_aux_slice(p: Graph, s: Iterable[Pair]) -> AuxSlice:
     """Restrict the conflict structure to candidate pairs s.
 
-    s must be the edge set (as pair ids) of a triangle-free graph.  The
-    returned slice drops pairs that are p-edges or b1 pairs, then wires the
-    b2 adjacency among the survivors.  The slice is re-verified to be
-    triangle-free, which holds for every pin.
+    s must be the edge set of a triangle-free graph; each pair may come in
+    either order.  The returned slice drops pairs that are p-edges or b1
+    pairs, then wires the b2 adjacency among the survivors.  The slice is
+    re-verified to be triangle-free, which holds for every pin.
     """
     n = p.n
-    s_ids = set(s)
-    s_graph = Graph.from_edges(n, [index_to_pair(k, n) for k in s_ids])
-    tri = find_triangle(s_graph)
+    s_pairs = {_pair(e, n) for e in s}
+    tri = find_triangle(Graph.from_edges(n, s_pairs))
     if tri is not None:
         raise ValueError(f"candidate pair set spans triangle {tri}")
-    forbidden = frozenset(build_b1(p) | set(p.edge_indices()))
-    s_prime = tuple(sorted(s_ids - forbidden))
-    pos = {k: i for i, k in enumerate(s_prime)}
+    forbidden = frozenset(build_b1(p).union(p.edges()))
+    s_prime = tuple(sorted(s_pairs - forbidden))
+    pos = {e: i for i, e in enumerate(s_prime)}
     rows = [0] * len(s_prime)
-    for i, k in enumerate(s_prime):
-        for f in b2_neighbors(p, k):
+    for i, e in enumerate(s_prime):
+        for f in _b2(p, *e):
             j = pos.get(f)
             if j is not None:
                 rows[i] |= 1 << j
@@ -155,10 +162,10 @@ class AdmissibilityReport:
     admissible: bool
     contains_base: bool
     triangle_free: bool
-    added_pairs: tuple[int, ...]
+    added_pairs: tuple[Pair, ...]
     failed_conditions: tuple[str, ...]
-    b1_violation: int | None
-    b2_violation: tuple[int, int] | None
+    b1_violation: Pair | None
+    b2_violation: tuple[Pair, Pair] | None
     b3_violation: tuple[int, int, int] | None
 
     def __bool__(self) -> bool:
@@ -171,8 +178,8 @@ class AdmissibilityReport:
             "triangle_free": self.triangle_free,
             "added_pair_count": len(self.added_pairs),
             "failed_conditions": list(self.failed_conditions),
-            "b1_violation": self.b1_violation,
-            "b2_violation": list(self.b2_violation) if self.b2_violation else None,
+            "b1_violation": list(self.b1_violation) if self.b1_violation else None,
+            "b2_violation": [list(e) for e in self.b2_violation] if self.b2_violation else None,
             "b3_violation": list(self.b3_violation) if self.b3_violation else None,
         }
 
@@ -188,25 +195,14 @@ def is_admissible(p: Graph, g: Graph) -> AdmissibilityReport:
         raise DimensionMismatchError(f"vertex counts differ: {p.n} != {g.n}")
     if not is_triangle_free(p):
         raise ValueError("pin must be triangle-free")
-    n = p.n
     contains = subgraph_of(p, g)
-    added = tuple(sorted(set(g.edge_indices()) - set(p.edge_indices())))
-    added_edges = [index_to_pair(k, n) for k in added]
+    added_set = set(g.edges()).difference(p.edges())
+    added = tuple(sorted(added_set))
 
     b1 = build_b1(p)
-    b1_hit = next((k for k in added if k in b1), None)
-
-    added_set = set(added)
-    b2_hit = None
-    for k in added:
-        for f in b2_neighbors(p, k):
-            if f in added_set:
-                b2_hit = (k, f)
-                break
-        if b2_hit:
-            break
-
-    b3_hit = find_triangle(Graph.from_edges(n, added_edges))
+    b1_hit = next((e for e in added if e in b1), None)
+    b2_hit = next(((e, f) for e in added for f in b2_neighbors(p, e) if f in added_set), None)
+    b3_hit = find_triangle(Graph.from_edges(p.n, added))
 
     failed = tuple(
         name
@@ -214,7 +210,7 @@ def is_admissible(p: Graph, g: Graph) -> AdmissibilityReport:
         if hit is not None
     )
 
-    union_ok = is_triangle_free(p.with_edges(added_edges))
+    union_ok = is_triangle_free(p.with_edges(added))
     if union_ok != (not failed):
         raise RuntimeError(
             "condition decomposition disagrees with the direct triangle test"

@@ -6,9 +6,11 @@ n; the hot paths (triangle tests, neighborhood intersections) stay single
 machine ops for n <= 64 and word-parallel beyond.
 
 Graphs are immutable after construction and safe to share across workers.
-Vertex pairs {u, v} with u < v are encoded as flat indices in lexicographic
-order ("pair index") so that sets of candidate edges can live in plain
-int-keyed containers.
+A vertex pair {u, v} is the tuple (u, v) with u < v; sorting such tuples
+gives lexicographic order.  The flat "pair index" (the position of (u, v) in
+that order) is only the sampling coordinate of ``randmodels``: the index
+draws of its samplers and the addition order a process run reports as its
+``trace``.
 """
 
 from __future__ import annotations
@@ -105,11 +107,6 @@ class Graph:
             for v in iter_bits(self.adj[u] >> (u + 1)):
                 yield (u, v + u + 1)
 
-    def edge_indices(self) -> Iterator[int]:
-        """Edges as flat pair indices, increasing."""
-        for u, v in self.edges():
-            yield pair_to_index(u, v, self.n)
-
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with the given edges added."""
         rows = list(self.adj)
@@ -137,7 +134,8 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# Pair indexing: {u, v} with u < v  <->  flat index in [0, n(n-1)/2)
+# Pair indexing, the samplers' coordinate: (u, v) with u < v  <->  flat index
+# in [0, n(n-1)/2)
 
 
 def pair_to_index(u: int, v: int, n: int) -> int:
@@ -270,12 +268,10 @@ def balanced_bipartition(n: int) -> tuple[int, int]:
     return left, right
 
 
-def crossing_pairs(left_mask: int, right_mask: int, n: int) -> list[int]:
-    """Pair indices of all pairs with one endpoint on each side."""
-    out = []
-    for u in iter_bits(left_mask):
-        for v in iter_bits(right_mask):
-            out.append(pair_to_index(u, v, n))
+def crossing_pairs(left_mask: int, right_mask: int, n: int) -> list[tuple[int, int]]:
+    """All pairs (u, v), u < v, with one endpoint on each side of a split of
+    the n vertices, in lexicographic order."""
+    out = [(u, v) if u < v else (v, u) for u in iter_bits(left_mask) for v in iter_bits(right_mask)]
     out.sort()
     return out
 

@@ -35,7 +35,6 @@ from turanpin.graphs import (
     Graph,
     components,
     find_triangle,
-    index_to_pair,
     induced_rows,
     is_triangle_free,
     iter_bits,
@@ -94,11 +93,9 @@ def duplication_seed(p: Graph) -> Graph:
 
 def _candidate_rows(p: Graph) -> list[int]:
     """Row u has bit v iff {u, v} can be added to p without closing a triangle."""
-    n = p.n
-    full = (1 << n) - 1
-    cand = [full & ~(p.adj[u] | 1 << u) for u in range(n)]
-    for k in build_b1(p):
-        u, v = index_to_pair(k, n)
+    full = (1 << p.n) - 1
+    cand = [full & ~(p.adj[u] | 1 << u) for u in range(p.n)]
+    for u, v in build_b1(p):
         cand[u] &= ~(1 << v)
         cand[v] &= ~(1 << u)
     return cand
@@ -107,7 +104,7 @@ def _candidate_rows(p: Graph) -> list[int]:
 def _most_conflicting(rows: list[int], cand: list[int]) -> tuple[int, int]:
     """Candidate pair whose addition removes the most other candidates.
 
-    Pairs are scanned in pair-id order (u ascending, then v > u ascending)
+    Pairs are scanned in lexicographic order (u ascending, then v > u ascending)
     and the first maximum wins.
     """
     best_u = best_v = -1

@@ -40,6 +40,11 @@ TO_COMPLETION = "to-completion"
 MODELS = ("process", "uniform-tf", "erdos-renyi")
 
 _REJECTION_MAX_N = 7
+_REJECTION_MAX_TRIES = 10**7
+
+# proposals drawn per RNG batch; it fixes how the edge and non-edge draws
+# interleave in the stream, so changing it changes every chain's output
+_CHAIN_BATCH = 4096
 
 
 def derive_rng(master_seed: int, *indices: int) -> np.random.Generator:
@@ -211,15 +216,15 @@ def sample_uniform_triangle_free(
 class MetropolisChain:
     """Edge-swap walker over triangle-free graphs with a fixed edge count."""
 
-    def __init__(self, start: Graph, rng: np.random.Generator, batch: int = 4096):
+    def __init__(self, start: Graph, rng: np.random.Generator):
         self.n = start.n
         self.rows = list(start.adj)
-        total = pair_count(self.n)
-        eset = set(start.edge_indices())
-        self.edges = sorted(eset)
-        self.nonedges = [k for k in range(total) if k not in eset]
+        # both lists hold pairs (u, v), u < v, and start in lexicographic order
+        self.edges = list(start.edges())
+        self.nonedges = [
+            (u, v) for u in range(self.n) for v in range(u + 1, self.n) if not self.rows[u] >> v & 1
+        ]
         self.rng = rng
-        self.batch = batch
         self.accepted = 0
         self.proposed = 0
 
@@ -232,7 +237,7 @@ class MetropolisChain:
             return
         left = proposals
         while left:
-            m = min(left, self.batch)
+            m = min(left, _CHAIN_BATCH)
             eslots = self.rng.integers(0, ne, size=m)
             nslots = self.rng.integers(0, nn, size=m)
             for i in range(m):
@@ -242,10 +247,8 @@ class MetropolisChain:
 
     def _propose(self, eslot: int, nslot: int) -> None:
         rows = self.rows
-        e = self.edges[eslot]
-        f = self.nonedges[nslot]
-        eu, ev = index_to_pair(e, self.n)
-        fu, fv = index_to_pair(f, self.n)
+        e = eu, ev = self.edges[eslot]
+        f = fu, fv = self.nonedges[nslot]
         rows[eu] &= ~(1 << ev)
         rows[ev] &= ~(1 << eu)
         if rows[fu] & rows[fv]:
@@ -306,7 +309,7 @@ def _triangle_free_rows(n: int, pair_ids) -> list[int] | None:
     return rows
 
 
-def exact_rejection_sample(n: int, edges: int, rng=None, max_tries: int = 10**7) -> Graph:
+def exact_rejection_sample(n: int, edges: int, rng=None) -> Graph:
     """Exactly uniform: draw edge sets uniformly, accept iff triangle-free.
 
     Only for n <= 7, where acceptance stays workable; the Metropolis chain
@@ -320,7 +323,7 @@ def exact_rejection_sample(n: int, edges: int, rng=None, max_tries: int = 10**7)
     if rng is None:
         rng = np.random.default_rng(0)
     total = pair_count(n)
-    for _ in range(max_tries):
+    for _ in range(_REJECTION_MAX_TRIES):
         rows = _triangle_free_rows(n, rng.choice(total, size=edges, replace=False))
         if rows is not None:
             return Graph(n, rows, validate=False)

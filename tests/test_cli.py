@@ -88,6 +88,20 @@ def test_bounds_parse_errors_exit_1(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_format_flag_overrides_inference(tmp_path, capsys):
+    pin = star_graph(3, n=7)
+    for flag, ext in (("edges", ".edges"), ("g6", ".g6")):
+        inferred = tmp_path / f"pin{ext}"
+        write_graph(pin, inferred)
+        forced = tmp_path / f"pin-{flag}.dat"
+        forced.write_text(inferred.read_text())
+        assert run(capsys, ["bounds", str(forced)])[0] == EXIT_USAGE  # nothing to infer from
+        for command in ("bounds", "exact"):
+            code, out, err = run(capsys, [command, str(forced), "--format", flag])
+            assert (code, out, err) == run(capsys, [command, str(inferred)])
+            assert code == EXIT_OK
+
+
 def test_bounds_output_file(g6, tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = run(capsys, ["bounds", g6("e.g6", Graph(6)), "--output", str(out_file)])

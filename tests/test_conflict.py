@@ -1,5 +1,6 @@
 """Conflict structure tests: definitions re-checked by brute force."""
 
+import itertools
 import random
 
 import pytest
@@ -20,11 +21,8 @@ from turanpin.graphs import (
     count_cherries,
     crossing_pairs,
     cycle_graph,
-    index_to_pair,
     is_triangle_free,
     matching_graph,
-    pair_count,
-    pair_to_index,
     path_graph,
     star_graph,
 )
@@ -47,14 +45,16 @@ def brute_b1(p):
     for u in range(p.n):
         for v in range(u + 1, p.n):
             if any(p.has_edge(u, w) and p.has_edge(v, w) for w in range(p.n)):
-                out.add(pair_to_index(u, v, p.n))
+                out.add((u, v))
     return out
 
 
-def brute_b2_adjacent(p, k1, k2):
+def all_pairs(n):
+    return list(itertools.combinations(range(n), 2))
+
+
+def brute_b2_adjacent(p, a, b):
     # literal definition: pairs share a vertex and outer endpoints are a p-edge
-    a = index_to_pair(k1, p.n)
-    b = index_to_pair(k2, p.n)
     shared = set(a) & set(b)
     if len(shared) != 1:
         return False
@@ -66,7 +66,7 @@ def brute_b2_adjacent(p, k1, k2):
 class TestB1:
     def test_path_has_single_pair(self):
         p = path_graph(3)
-        assert build_b1(p) == {pair_to_index(0, 2, 3)}
+        assert build_b1(p) == {(0, 2)}
 
     def test_matching_has_none(self):
         assert build_b1(matching_graph(3)) == set()
@@ -74,7 +74,7 @@ class TestB1:
     def test_star_hits_all_leaf_pairs(self):
         p = star_graph(4)
         got = build_b1(p)
-        expect = {pair_to_index(u, v, 5) for u in range(1, 5) for v in range(u + 1, 5)}
+        expect = {(u, v) for u in range(1, 5) for v in range(u + 1, 5)}
         assert got == expect
         assert len(got) == count_cherries(p)  # equality case
 
@@ -99,44 +99,47 @@ class TestB2:
     def test_single_edge_one_completion(self):
         # pin edge {0,1}; candidate {0,2} conflicts only with {2,1}
         p = Graph.from_edges(4, [(0, 1)])
-        got = b2_neighbors(p, pair_to_index(0, 2, 4))
-        assert got == [pair_to_index(1, 2, 4)]
+        got = b2_neighbors(p, (0, 2))
+        assert got == [(1, 2)]
 
     def test_disjoint_pair_has_no_conflicts(self):
         p = Graph.from_edges(4, [(0, 1)])
-        assert b2_neighbors(p, pair_to_index(2, 3, 4)) == []
+        assert b2_neighbors(p, (2, 3)) == []
 
     def test_cycle_chord_has_four(self):
         p = cycle_graph(5)
-        for k in range(pair_count(5)):
-            u, v = index_to_pair(k, 5)
+        for u, v in all_pairs(5):
             if not p.has_edge(u, v):
-                assert len(b2_neighbors(p, k)) == 4
+                assert len(b2_neighbors(p, (u, v))) == 4
 
     def test_symmetric_relation_matching_brute_force(self):
         rng = random.Random(14)
         for _ in range(60):
             p = random_triangle_free(rng.randrange(2, 9), rng)
-            nbrs = {k: set(b2_neighbors(p, k)) for k in range(pair_count(p.n))}
+            nbrs = {k: set(b2_neighbors(p, k)) for k in all_pairs(p.n)}
             for k1 in nbrs:
                 for k2 in nbrs[k1]:
                     assert k1 in nbrs[k2]
-            for k1 in range(pair_count(p.n)):
-                for k2 in range(k1 + 1, pair_count(p.n)):
-                    assert (k2 in nbrs[k1]) == brute_b2_adjacent(p, k1, k2)
+            for k1, k2 in itertools.combinations(all_pairs(p.n), 2):
+                assert (k2 in nbrs[k1]) == brute_b2_adjacent(p, k1, k2)
 
     def test_no_duplicates_no_self(self):
         rng = random.Random(15)
         for _ in range(100):
             p = random_triangle_free(rng.randrange(2, 10), rng)
-            for k in range(pair_count(p.n)):
+            for k in all_pairs(p.n):
                 got = b2_neighbors(p, k)
                 assert len(got) == len(set(got))
                 assert k not in got
 
-    def test_invalid_pair_id(self):
-        with pytest.raises(ValueError):
-            b2_neighbors(Graph.empty(4), 6)
+    def test_invalid_pair(self):
+        for bad in ((0, 4), (2, 2), (-1, 2)):
+            with pytest.raises(ValueError):
+                b2_neighbors(Graph.empty(4), bad)
+
+    def test_pair_order_normalised(self):
+        p = Graph.from_edges(4, [(0, 1)])
+        assert b2_neighbors(p, (2, 0)) == b2_neighbors(p, (0, 2))
 
     def test_edge_total_equals_closed_form(self):
         # each pin edge conflicts once per outside vertex
@@ -174,7 +177,7 @@ class TestAuxSlice:
 
     def test_pin_equal_to_candidates_leaves_nothing(self):
         p = cycle_graph(5)
-        s = list(p.edge_indices())
+        s = list(p.edges())
         sl = build_aux_slice(p, s)
         assert sl.s_prime == ()
 
@@ -191,13 +194,18 @@ class TestAuxSlice:
 
     def test_rejects_triangled_candidates(self):
         n = 4
-        bad = [pair_to_index(*e, n) for e in [(0, 1), (1, 2), (0, 2)]]
+        bad = [(0, 1), (1, 2), (0, 2)]
         with pytest.raises(ValueError):
             build_aux_slice(Graph.empty(n), bad)
 
+    def test_rejects_invalid_pair(self):
+        for bad in ((0, 4), (3, 3)):
+            with pytest.raises(ValueError):
+                build_aux_slice(Graph.empty(4), [(0, 2), bad])
+
     def test_pairs_from_mask_round_trip(self):
         p = Graph.empty(4)
-        s = [pair_to_index(0, 2, 4), pair_to_index(1, 3, 4)]
+        s = [(2, 0), (1, 3)]
         sl = build_aux_slice(p, s)
         assert sl.pairs_from_mask(0b11) == [(0, 2), (1, 3)]
 
@@ -216,7 +224,7 @@ class TestAdmissible:
         rep = is_admissible(p, g)
         assert not rep.admissible
         assert rep.failed_conditions == ("b1",)
-        assert rep.b1_violation == pair_to_index(0, 2, 3)
+        assert rep.b1_violation == (0, 2)
 
     def test_b2_failure(self):
         # pin edge {0,1}; adding {0,2} and {1,2} closes a triangle with it
@@ -225,7 +233,7 @@ class TestAdmissible:
         rep = is_admissible(p, g)
         assert not rep.admissible
         assert "b2" in rep.failed_conditions
-        assert rep.b2_violation is not None
+        assert rep.b2_violation == ((0, 2), (1, 2))
 
     def test_b3_failure(self):
         # empty pin, added pairs themselves form a triangle

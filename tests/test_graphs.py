@@ -204,17 +204,13 @@ class TestPairIndexing:
         with pytest.raises(ValueError):
             index_to_pair(10, 5)
 
-    def test_edge_indices_sorted(self):
-        g = complete_bipartite(2, 3)
-        ks = list(g.edge_indices())
-        assert ks == sorted(ks)
-        assert len(ks) == 6
-
     def test_crossing_pairs_of_balanced_split(self):
         left, right = balanced_bipartition(7)
         ks = crossing_pairs(left, right, 7)
         assert len(ks) == 4 * 3  # ceil * floor
-        u, v = zip(*[index_to_pair(k, 7) for k in ks])
+        assert ks == sorted(ks)
+        assert crossing_pairs(right, left, 7) == ks
+        u, v = zip(*ks)
         assert all(x < 4 for x in u) and all(x >= 4 for x in v)
 
 

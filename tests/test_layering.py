@@ -64,9 +64,8 @@ def test_no_function_level_package_imports():
                 )
 
 
-def test_cli_draws_graphs_only_through_randmodels_draw():
-    samplers = {"triangle_free_process", "sample_uniform_triangle_free", "erdos_renyi"}
-    tree = _parsed_modules()["cli"]
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name a module imports, reads or reaches as an attribute."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -75,4 +74,20 @@ def test_cli_draws_graphs_only_through_randmodels_draw():
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+    return names
+
+
+def test_cli_draws_graphs_only_through_randmodels_draw():
+    samplers = {"triangle_free_process", "sample_uniform_triangle_free", "erdos_renyi"}
+    names = _used_names(_parsed_modules()["cli"])
     assert not names & samplers, f"cli uses {sorted(names & samplers)} directly"
+
+
+def test_pair_index_stays_in_the_samplers():
+    # pairs are (u, v) tuples outside randmodels; the flat index is its
+    # sampling coordinate only
+    index_names = {"pair_to_index", "index_to_pair", "pair_count", "edge_indices"}
+    modules = _parsed_modules()
+    for name in ("conflict", "construct", "oracle"):
+        used = _used_names(modules[name]) & index_names
+        assert not used, f"{name} uses {sorted(used)}"

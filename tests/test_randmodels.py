@@ -15,6 +15,7 @@ from turanpin.graphs import (
     index_to_pair,
     is_triangle_free,
     pair_count,
+    pair_to_index,
 )
 from turanpin.randmodels import (
     MetropolisChain,
@@ -188,10 +189,83 @@ def test_chain_stays_in_state_space():
         chain.run(25)
         g = chain.graph()
         assert g.edge_count == 8 and is_triangle_free(g)
-        assert sorted(chain.edges) == sorted(g.edge_indices())
+        assert sorted(chain.edges) == sorted(g.edges())
         eset = set(chain.edges)
         assert eset.isdisjoint(chain.nonedges)
         assert len(eset) + len(set(chain.nonedges)) == pair_count(7)
+
+
+class ReferenceChain:
+    """Metropolis chain keeping its edge and non-edge lists as flat pair
+    indices, decoded on every proposal, in batches of 4096 draws."""
+
+    def __init__(self, start, rng, batch=4096):
+        self.n = start.n
+        self.rows = list(start.adj)
+        eset = {pair_to_index(u, v, self.n) for u, v in start.edges()}
+        self.edges = sorted(eset)
+        self.nonedges = [k for k in range(pair_count(self.n)) if k not in eset]
+        self.rng = rng
+        self.batch = batch
+        self.accepted = 0
+        self.proposed = 0
+
+    def run(self, proposals):
+        ne, nn = len(self.edges), len(self.nonedges)
+        if ne == 0 or nn == 0:
+            return
+        left = proposals
+        while left:
+            m = min(left, self.batch)
+            eslots = self.rng.integers(0, ne, size=m)
+            nslots = self.rng.integers(0, nn, size=m)
+            for i in range(m):
+                self._propose(int(eslots[i]), int(nslots[i]))
+            left -= m
+        self.proposed += proposals
+
+    def _propose(self, eslot, nslot):
+        rows = self.rows
+        e = self.edges[eslot]
+        f = self.nonedges[nslot]
+        eu, ev = index_to_pair(e, self.n)
+        fu, fv = index_to_pair(f, self.n)
+        rows[eu] &= ~(1 << ev)
+        rows[ev] &= ~(1 << eu)
+        if rows[fu] & rows[fv]:
+            rows[eu] |= 1 << ev
+            rows[ev] |= 1 << eu
+            return
+        rows[fu] |= 1 << fv
+        rows[fv] |= 1 << fu
+        self.edges[eslot] = f
+        self.nonedges[nslot] = e
+        self.accepted += 1
+
+
+@pytest.mark.parametrize(
+    "n,edges,runs",
+    [
+        (7, 8, (4133,)),  # not a multiple of the batch
+        (8, 16, (300, 4097)),  # edges = floor(n^2/4)
+        (9, 20, (700,)),  # edges = floor(n^2/4), odd n
+        (8, 0, (100,)),
+        (16, 30, (5000, 3)),
+        (64, 128, (9001,)),
+    ],
+)
+def test_chain_matches_pair_index_reference(n, edges, runs):
+    for seed in (0, 1, 2):
+        chain = MetropolisChain(_bipartite_seed(n, edges), derive_rng(31, n, seed))
+        ref = ReferenceChain(_bipartite_seed(n, edges), derive_rng(31, n, seed))
+        for proposals in runs:
+            chain.run(proposals)
+            ref.run(proposals)
+            assert chain.graph().adj == tuple(ref.rows)
+            assert (chain.accepted, chain.proposed) == (ref.accepted, ref.proposed)
+            assert chain.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert [pair_to_index(u, v, n) for u, v in chain.edges] == ref.edges
+        assert [pair_to_index(u, v, n) for u, v in chain.nonedges] == ref.nonedges
 
 
 def test_sampler_feasibility_bounds():
