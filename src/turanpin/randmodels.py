@@ -29,9 +29,7 @@ from turanpin.graphs import (
     Graph,
     complete_bipartite,
     index_to_pair,
-    iter_bits,
     pair_count,
-    pair_to_index,
 )
 from turanpin.mis import DEFAULT_NODE_BUDGET, max_independent_set
 
@@ -63,15 +61,19 @@ class ProcessState:
 
     ``open_pairs[0:open_count]`` lists exactly the non-edges whose addition
     closes no triangle; ``slot[k]`` inverts it (-1 when pair k is closed or
-    already an edge).  Removal is swap-with-last, so one step costs time
-    proportional to the number of newly blocked pairs.
+    already an edge).  ``open_rows`` holds the same set as bitset rows: bit w
+    of ``open_rows[u]`` is set iff the pair {u, w} is open.  Adding {u, v}
+    closes {u, w} exactly for the w in ``rows[v] & open_rows[u]`` (and
+    symmetrically), so a step visits only the pairs it closes, each pair is
+    retired once per run, and removal is swap-with-last.
     """
 
-    __slots__ = ("n", "rows", "open_pairs", "slot", "step")
+    __slots__ = ("n", "rows", "open_rows", "open_pairs", "slot", "step")
 
     def __init__(self, n: int):
         self.n = n
         self.rows = [0] * n
+        self.open_rows = [((1 << n) - 1) ^ (1 << u) for u in range(n)]
         self.open_pairs = list(range(pair_count(n)))
         self.slot = list(range(pair_count(n)))
         self.step = 0
@@ -80,30 +82,43 @@ class ProcessState:
     def open_count(self) -> int:
         return len(self.open_pairs)
 
-    def _drop(self, k: int) -> None:
-        s = self.slot[k]
-        if s == -1:
-            return
-        last = self.open_pairs[-1]
-        self.open_pairs[s] = last
-        self.slot[last] = s
-        self.open_pairs.pop()
-        self.slot[k] = -1
-
     def add_pair(self, k: int) -> None:
-        """Add the open pair k as an edge and retire newly blocked pairs."""
-        if self.slot[k] == -1:
+        """Add the open pair k as an edge and retire the pairs it closes.
+
+        They leave ``open_pairs`` in the order k, then {u, w} by increasing
+        w, then {v, w} by increasing w: the order fixes the list layout, and
+        with it the pair that every later draw picks.
+        """
+        slot = self.slot
+        if slot[k] == -1:
             raise ValueError(f"pair {k} is not open")
-        u, v = index_to_pair(k, self.n)
-        rows = self.rows
+        n = self.n
+        u, v = index_to_pair(k, n)
+        rows, open_rows, open_pairs = self.rows, self.open_rows, self.open_pairs
         if rows[u] & rows[v]:
             raise RuntimeError("open-pair bookkeeping admitted a triangle")
-        self._drop(k)
-        # pairs {u,w} for pin neighbors w of v (and symmetrically) now close
-        for w in iter_bits(rows[v]):
-            self._drop(pair_to_index(u, w, self.n))
-        for w in iter_bits(rows[u]):
-            self._drop(pair_to_index(v, w, self.n))
+        open_rows[u] ^= 1 << v
+        open_rows[v] ^= 1 << u
+        closed = [k]
+        for a, b in ((u, v), (v, u)):
+            # {a, w} closes for each open w adjacent to b
+            fresh = rows[b] & open_rows[a]
+            open_rows[a] ^= fresh
+            bit_a = 1 << a
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                w = low.bit_length() - 1
+                open_rows[w] ^= bit_a
+                lo, hi = (a, w) if a < w else (w, a)
+                closed.append(lo * n - lo * (lo + 1) // 2 + hi - lo - 1)  # pair_to_index(lo, hi, n)
+        for j in closed:
+            s = slot[j]
+            last = open_pairs.pop()
+            if last != j:
+                open_pairs[s] = last
+                slot[last] = s
+            slot[j] = -1
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         self.step += 1
@@ -115,15 +130,6 @@ class ProcessState:
 
     def graph(self) -> Graph:
         return Graph(self.n, list(self.rows), validate=False)
-
-    def recomputed_open(self) -> set[int]:
-        """Open set rebuilt from scratch; for invariant checking."""
-        out = set()
-        for k in range(pair_count(self.n)):
-            u, v = index_to_pair(k, self.n)
-            if not self.rows[u] >> v & 1 and not self.rows[u] & self.rows[v]:
-                out.add(k)
-        return out
 
 
 @dataclass(frozen=True)
@@ -214,7 +220,14 @@ def sample_uniform_triangle_free(
 
 
 class MetropolisChain:
-    """Edge-swap walker over triangle-free graphs with a fixed edge count."""
+    """Edge-swap walker over triangle-free graphs with a fixed edge count.
+
+    A proposal takes slot i of ``edges`` and slot j of ``nonedges`` and swaps
+    the two pairs iff the graph stays triangle-free; the pairs trade slots,
+    so both lists keep their lengths.  ``run`` draws the slots a batch of
+    ``_CHAIN_BATCH`` proposals at a time, all i then all j, with one numpy
+    call each.
+    """
 
     def __init__(self, start: Graph, rng: np.random.Generator):
         self.n = start.n
@@ -232,34 +245,35 @@ class MetropolisChain:
         return Graph(self.n, list(self.rows), validate=False)
 
     def run(self, proposals: int) -> None:
-        ne, nn = len(self.edges), len(self.nonedges)
+        edges, nonedges, rows = self.edges, self.nonedges, self.rows
+        ne, nn = len(edges), len(nonedges)
         if ne == 0 or nn == 0:
             return
+        integers = self.rng.integers
+        accepted = 0
         left = proposals
         while left:
             m = min(left, _CHAIN_BATCH)
-            eslots = self.rng.integers(0, ne, size=m)
-            nslots = self.rng.integers(0, nn, size=m)
-            for i in range(m):
-                self._propose(int(eslots[i]), int(nslots[i]))
+            eslots = integers(0, ne, size=m).tolist()
+            nslots = integers(0, nn, size=m).tolist()
+            for i, j in zip(eslots, nslots):
+                e = eu, ev = edges[i]
+                f = fu, fv = nonedges[j]
+                # e is an edge and f a non-edge, so each ^= flips a known bit
+                rows[eu] ^= 1 << ev
+                rows[ev] ^= 1 << eu
+                if rows[fu] & rows[fv]:
+                    rows[eu] ^= 1 << ev
+                    rows[ev] ^= 1 << eu
+                    continue
+                rows[fu] ^= 1 << fv
+                rows[fv] ^= 1 << fu
+                edges[i] = f
+                nonedges[j] = e
+                accepted += 1
             left -= m
+        self.accepted += accepted
         self.proposed += proposals
-
-    def _propose(self, eslot: int, nslot: int) -> None:
-        rows = self.rows
-        e = eu, ev = self.edges[eslot]
-        f = fu, fv = self.nonedges[nslot]
-        rows[eu] &= ~(1 << ev)
-        rows[ev] &= ~(1 << eu)
-        if rows[fu] & rows[fv]:
-            rows[eu] |= 1 << ev
-            rows[ev] |= 1 << eu
-            return
-        rows[fu] |= 1 << fv
-        rows[fv] |= 1 << fu
-        self.edges[eslot] = f
-        self.nonedges[nslot] = e
-        self.accepted += 1
 
 
 def size_for_degree(model: str, n: int, d: float) -> int | float:

@@ -14,10 +14,12 @@ from turanpin.graphs import (
     complete_bipartite,
     index_to_pair,
     is_triangle_free,
+    iter_bits,
     pair_count,
     pair_to_index,
 )
 from turanpin.randmodels import (
+    TO_COMPLETION,
     MetropolisChain,
     ProcessState,
     SampleStats,
@@ -55,23 +57,35 @@ def nx_from(g: Graph) -> nx.Graph:
 # ---------------------------------------------------------------- process
 
 
+def assert_bookkeeping_is_brute(state: ProcessState) -> None:
+    want = brute_open_pairs(state.graph())
+    assert sorted(state.open_pairs) == sorted(want)
+    assert [state.slot[k] for k in state.open_pairs] == list(range(state.open_count))
+    assert all(state.slot[k] == -1 for k in range(pair_count(state.n)) if k not in want)
+    rows = [0] * state.n
+    for k in want:
+        u, v = index_to_pair(k, state.n)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    assert state.open_rows == rows
+
+
 def test_open_pair_bookkeeping_matches_recompute_every_step():
     rng = derive_rng(11)
     state = ProcessState(12)
+    assert_bookkeeping_is_brute(state)
     while state.open_count:
         state.step_random(rng)
-        assert set(state.open_pairs) == state.recomputed_open() == brute_open_pairs(state.graph())
-        assert sorted(state.slot[k] for k in state.open_pairs) == list(range(state.open_count))
+        assert_bookkeeping_is_brute(state)
 
 
-def test_open_pair_bookkeeping_larger_run_periodic_recompute():
+def test_open_pair_bookkeeping_larger_run_every_step():
     rng = derive_rng(12)
     state = ProcessState(40)
     while state.open_count:
         state.step_random(rng)
-        if state.step % 100 == 0:
-            assert set(state.open_pairs) == state.recomputed_open()
-    assert set(state.open_pairs) == state.recomputed_open() == set()
+        assert_bookkeeping_is_brute(state)
+    assert state.open_rows == [0] * 40
 
 
 def test_add_pair_rejects_closed_pair():
@@ -79,6 +93,92 @@ def test_add_pair_rejects_closed_pair():
     state.add_pair(0)  # edge {0,1}
     with pytest.raises(ValueError):
         state.add_pair(0)
+    state.add_pair(pair_to_index(1, 2, 4))
+    # {0,2} is a non-edge, closed by the path 0-1-2
+    with pytest.raises(ValueError):
+        state.add_pair(pair_to_index(0, 2, 4))
+    assert_bookkeeping_is_brute(state)
+
+
+class ReferenceProcessState:
+    """Open-pair bookkeeping that drops every neighbour pair of a new edge,
+    open or already closed, through a method call."""
+
+    def __init__(self, n):
+        self.n = n
+        self.rows = [0] * n
+        self.open_pairs = list(range(pair_count(n)))
+        self.slot = list(range(pair_count(n)))
+        self.step = 0
+
+    def _drop(self, k):
+        s = self.slot[k]
+        if s == -1:
+            return
+        last = self.open_pairs[-1]
+        self.open_pairs[s] = last
+        self.slot[last] = s
+        self.open_pairs.pop()
+        self.slot[k] = -1
+
+    def add_pair(self, k):
+        if self.slot[k] == -1:
+            raise ValueError(f"pair {k} is not open")
+        u, v = index_to_pair(k, self.n)
+        rows = self.rows
+        if rows[u] & rows[v]:
+            raise RuntimeError("open-pair bookkeeping admitted a triangle")
+        self._drop(k)
+        for w in iter_bits(rows[v]):
+            self._drop(pair_to_index(u, w, self.n))
+        for w in iter_bits(rows[u]):
+            self._drop(pair_to_index(v, w, self.n))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        self.step += 1
+
+    def step_random(self, rng):
+        k = self.open_pairs[int(rng.integers(len(self.open_pairs)))]
+        self.add_pair(k)
+        return k
+
+
+def reference_process(n, steps, rng):
+    """(rows, trace, steps_requested, completed, truncated) of one run."""
+    to_end = steps == TO_COMPLETION
+    state = ReferenceProcessState(n)
+    trace = []
+    while state.open_pairs and (to_end or state.step < steps):
+        trace.append(state.step_random(rng))
+    done = not state.open_pairs
+    return (
+        tuple(state.rows),
+        tuple(trace),
+        None if to_end else steps,
+        done,
+        (not to_end) and done and state.step < steps,
+    )
+
+
+def assert_process_matches_reference(n, steps, seed):
+    rng, ref_rng = derive_rng(32, n, seed), derive_rng(32, n, seed)
+    run = triangle_free_process(n, steps=steps, rng=rng)
+    want = reference_process(n, steps, ref_rng)
+    assert (run.graph.adj, run.trace, run.steps_requested, run.completed, run.truncated) == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 12, 40, 97])
+def test_process_matches_drop_every_neighbour_reference(n):
+    # pair_count(n) steps truncate for n >= 3: no maximal triangle-free graph is complete
+    step_counts = [s for s in (0, 7, pair_count(n)) if s <= pair_count(n)]
+    for seed in (0, 1, 2):
+        for steps in [TO_COMPLETION, *step_counts]:
+            assert_process_matches_reference(n, steps, seed)
+
+
+def test_process_matches_drop_every_neighbour_reference_n384():
+    assert_process_matches_reference(384, TO_COMPLETION, 0)
 
 
 def test_process_intermediates_triangle_free_and_terminal_maximal():
