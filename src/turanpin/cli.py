@@ -28,7 +28,7 @@ from multiprocessing import get_context
 from pathlib import Path
 
 from turanpin.bounds import bounds_report
-from turanpin.construct import MODES, construct_admissible, formula_floor, write_construction
+from turanpin.construct import MODES, construct_admissible, write_construction
 from turanpin.graphs import (
     Graph,
     GraphFormatError,
@@ -37,7 +37,7 @@ from turanpin.graphs import (
     read_graph,
     to_graph6,
 )
-from turanpin.mis import DEFAULT_NODE_BUDGET, max_independent_set
+from turanpin.mis import DEFAULT_NODE_BUDGET
 from turanpin.oracle import (
     DEFAULT_ORACLE_BUDGET,
     BudgetExhaustedError,
@@ -185,7 +185,10 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_bounds(args) -> int:
     g = _load_pin(args.graph, args.format)
     _require_triangle_free(g)
-    rep = bounds_report(g, mis_budget=args.mis_budget)
+    try:
+        rep = bounds_report(g, mis_budget=args.mis_budget)
+    except ValueError as err:  # fewer than 3 vertices
+        raise CliError(EXIT_SEMANTIC, f"cannot bound {args.graph}: {err}") from err
     _emit(_dump_json(rep.to_json_dict()), args.output)
     return EXIT_OK
 
@@ -317,10 +320,9 @@ def _scaling_trial(spec) -> tuple[str, dict]:
         g = _trial_graph(model, n, d, derive_rng(seed, n, d_idx, trial), chain_steps)
     except ValueError as err:  # infeasible model parameters are logged, not fatal
         return ("fail", {"n": n, "d": d, "trial": trial, "error": f"{type(err).__name__}: {err}"})
-    mis = max_independent_set(g, budget=mis_budget)
-    alpha_lo, alpha_hi = mis.as_interval()
-    upper = n * alpha_hi / 2
-    lower = formula_floor(g)
+    rep = bounds_report(g, mis_budget=mis_budget)
+    upper = float(rep.upper_bound)
+    lower = rep.lower_bound
     norm = n * n * math.log(d) / d
     degs = g.degrees()
     return (
@@ -330,7 +332,7 @@ def _scaling_trial(spec) -> tuple[str, dict]:
             "d": d,
             "trial": trial,
             "e_P": g.edge_count,
-            "alpha": alpha_lo,
+            "alpha": rep.alpha_lo,
             "delta": max(degs) if degs else 0,
             "lower_bound": lower,
             "upper_bound": upper,
@@ -491,9 +493,9 @@ def cmd_worst_case(args) -> int:
 
 
 def _sample_trial(spec) -> tuple[str, str]:
-    """One draw; the spec's size is its third entry, or its fourth when the third is None."""
-    model, n, size, steps, trial, seed, mis_budget, chain_steps = spec
-    g = draw(model, n, steps if size is None else size, derive_rng(seed, trial), chain_steps)
+    """One draw; the spec's size is its third entry (its fourth is unused)."""
+    model, n, size, _, trial, seed, mis_budget, chain_steps = spec
+    g = draw(model, n, size, derive_rng(seed, trial), chain_steps)
     stats = model_stats(g, mis_budget=mis_budget, seed=stream_key(seed, trial))
     return to_graph6(g), stats.to_json_line()
 

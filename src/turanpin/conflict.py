@@ -96,9 +96,6 @@ class AuxSlice:
     bitsets over positions in ``s_prime``.
     """
 
-    n: int
-    base: Graph
-    forbidden: frozenset[Pair]
     s_prime: tuple[Pair, ...]
     b2_adj: tuple[int, ...]
 
@@ -126,7 +123,7 @@ def build_aux_slice(p: Graph, s: Iterable[Pair]) -> AuxSlice:
     tri = find_triangle(Graph.from_edges(n, s_pairs))
     if tri is not None:
         raise ValueError(f"candidate pair set spans triangle {tri}")
-    forbidden = frozenset(build_b1(p).union(p.edges()))
+    forbidden = build_b1(p).union(p.edges())
     s_prime = tuple(sorted(s_pairs - forbidden))
     pos = {e: i for i, e in enumerate(s_prime)}
     rows = [0] * len(s_prime)
@@ -135,13 +132,7 @@ def build_aux_slice(p: Graph, s: Iterable[Pair]) -> AuxSlice:
             j = pos.get(f)
             if j is not None:
                 rows[i] |= 1 << j
-    out = AuxSlice(
-        n=n,
-        base=p,
-        forbidden=forbidden,
-        s_prime=s_prime,
-        b2_adj=tuple(rows),
-    )
+    out = AuxSlice(s_prime=s_prime, b2_adj=tuple(rows))
     tri = find_triangle(out.slice_graph())
     if tri is not None:  # cannot happen for a triangle-free pin
         raise RuntimeError(f"conflict slice has triangle at positions {tri}")

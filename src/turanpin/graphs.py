@@ -48,13 +48,11 @@ class Graph:
                 raise ValueError("vertex count must be >= 0")
             if len(rows) != n:
                 raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
-            full = (1 << n) - 1
             for v, row in enumerate(rows):
                 if row >> n:
                     raise ValueError(f"adjacency row {v} has bits beyond vertex {n - 1}")
                 if row & (1 << v):
                     raise ValueError(f"self-loop at vertex {v}")
-                row &= full
             for v, row in enumerate(rows):
                 for w in iter_bits(row):
                     if not rows[w] & (1 << v):
@@ -280,56 +278,28 @@ def crossing_pairs(left_mask: int, right_mask: int, n: int) -> list[tuple[int, i
 # graph6 encoding (bit-exact standard format) and plain edge lists
 
 
-def _g6_encode_n(n: int) -> str:
-    if n <= 62:
-        return chr(n + 63)
-    if n <= 258047:
-        return chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    if n <= 68719476735:
-        return chr(126) + chr(126) + "".join(
-            chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0)
-        )
-    raise ValueError("graph too large for graph6")
-
-
-def _g6_decode_n(s: str) -> tuple[int, int]:
-    """Return (n, chars consumed)."""
-    if not s:
-        raise GraphFormatError("empty graph6 string")
-    if s[0] != "~":
-        return ord(s[0]) - 63, 1
-    if len(s) >= 2 and s[1] != "~":
-        if len(s) < 4:
-            raise GraphFormatError("truncated graph6 size field")
-        n = 0
-        for c in s[1:4]:
-            n = (n << 6) | (ord(c) - 63)
-        return n, 4
-    if len(s) < 8:
-        raise GraphFormatError("truncated graph6 size field")
-    n = 0
-    for c in s[2:8]:
-        n = (n << 6) | (ord(c) - 63)
-    return n, 8
+# str.translate table: a graph6 character chr(63 + value) -> value's six bits, high bit first
+_SIX_BITS = {63 + value: f"{value:06b}" for value in range(64)}
 
 
 def to_graph6(g: Graph) -> str:
-    """Standard graph6 line: size field then the upper triangle, column-major."""
+    """Standard graph6 line: the size field, then column v = 1..n-1 of the
+    upper triangle (the pairs uv, u = 0..v-1), six bits per character."""
     n = g.n
-    bits = []
-    for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            bits.append(1 if col & (1 << u) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chunks = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        chunks.append(chr(val + 63))
-    return _g6_encode_n(n) + "".join(chunks)
+    if n < 63:
+        prefix, width = "", 6
+    elif n < 258048:  # a first character of 126 would read as "~~"
+        prefix, width = "~", 18
+    elif n < 1 << 36:
+        prefix, width = "~~", 36
+    else:
+        raise ValueError("graph too large for graph6")
+    # bits u = 0..v-1 of adj[v] in increasing u: the binary string reversed
+    bits = format(n, f"0{width}b") + "".join(
+        format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)
+    )
+    bits += "0" * (-len(bits) % 6)
+    return prefix + "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
 
 
 def from_graph6(line: str) -> Graph:
@@ -337,31 +307,31 @@ def from_graph6(line: str) -> Graph:
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
-    n, consumed = _g6_decode_n(s)
-    body = s[consumed:]
+    if not s:
+        raise GraphFormatError("empty graph6 string")
+    for c in (min(s), max(s)):
+        if not "?" <= c <= "~":
+            raise GraphFormatError(f"invalid graph6 character {c!r}")
+    tildes = 2 if s.startswith("~~") else 1 if s.startswith("~") else 0
+    width = (1, 3, 6)[tildes]
+    field, body = s[tildes : tildes + width], s[tildes + width :]
+    if len(field) < width:
+        raise GraphFormatError("truncated graph6 size field")
+    n = int(field.translate(_SIX_BITS), 2)
     need = pair_count(n)
     nbytes = (need + 5) // 6
     if len(body) != nbytes:
-        raise GraphFormatError(
-            f"graph6 body has {len(body)} chars, expected {nbytes} for n={n}"
-        )
-    bits = []
-    for c in body:
-        val = ord(c) - 63
-        if not 0 <= val < 64:
-            raise GraphFormatError(f"invalid graph6 character {c!r}")
-        for s6 in (5, 4, 3, 2, 1, 0):
-            bits.append((val >> s6) & 1)
-    if any(bits[need:]):
+        raise GraphFormatError(f"graph6 body has {len(body)} chars, expected {nbytes} for n={n}")
+    bits = body.translate(_SIX_BITS)
+    if "1" in bits[need:]:
         raise GraphFormatError("nonzero padding bits in graph6 body")
     rows = [0] * n
-    i = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            i += 1
+        start = v * (v - 1) // 2
+        col = int(bits[start : start + v][::-1], 2)  # bit u: the pair uv
+        rows[v] |= col
+        for u in iter_bits(col):
+            rows[u] |= 1 << v
     return Graph(n, rows, validate=False)
 
 

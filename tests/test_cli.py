@@ -88,6 +88,24 @@ def test_bounds_parse_errors_exit_1(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["bounds", "construct", "exact"])
+def test_malformed_graph6_size_field_exits_1(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a command that ran anyway would write
+    (tmp_path / "neg.g6").write_text(">?\n")  # size character below "?": n = -1 if trusted
+    code, out, err = run(capsys, [command, "neg.g6"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["neg.g6"]
+
+
+@pytest.mark.parametrize("pin", [Graph(0), Graph(1), Graph.from_edges(2, [(0, 1)])], ids=["n0", "n1", "n2"])
+def test_bounds_needs_three_vertices_exit_2(pin, g6, capsys):
+    for path in (g6("pin.g6", pin), g6("pin.edges", pin)):
+        code, out, err = run(capsys, ["bounds", path])
+        assert (code, out) == (EXIT_SEMANTIC, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "need n >= 3" in err
+
+
 def test_format_flag_overrides_inference(tmp_path, capsys):
     pin = star_graph(3, n=7)
     for flag, ext in (("edges", ".edges"), ("g6", ".g6")):
@@ -521,7 +539,7 @@ def test_scaling_per_trial_failures_counted(tmp_path, capsys):
 
 def test_scaling_internal_error_exit_70(tmp_path, capsys, monkeypatch):
     # an invariant failure inside a trial is not an ordinary trial failure
-    monkeypatch.setattr("turanpin.cli.max_independent_set", _raise_runtime_error)
+    monkeypatch.setattr("turanpin.bounds.max_independent_set", _raise_runtime_error)
     code, _, err = run(
         capsys,
         ["scaling", "--model", "process", "--n-values", "10", "--d-values", "2.0",

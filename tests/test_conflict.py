@@ -190,7 +190,7 @@ class TestAuxSlice:
             s = crossing_pairs(left, right, n)
             sl = build_aux_slice(p, s)
             assert is_triangle_free(sl.slice_graph())
-            assert not (set(sl.s_prime) & sl.forbidden)
+            assert not (set(sl.s_prime) & (build_b1(p) | set(p.edges())))
 
     def test_rejects_triangled_candidates(self):
         n = 4

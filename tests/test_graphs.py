@@ -36,6 +36,69 @@ def random_graph(n, p, rng):
     return Graph.from_edges(n, edges)
 
 
+# The per-bit graph6 codec that preceded the column-at-a-time one, kept as
+# the reference the current codec must match byte for byte.
+
+
+def reference_g6_encode_n(n):
+    if n <= 62:
+        return chr(n + 63)
+    if n <= 258047:
+        return chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    return chr(126) + chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+
+
+def reference_g6_decode_n(s):
+    """Return (n, chars consumed)."""
+    if s[0] != "~":
+        return ord(s[0]) - 63, 1
+    if len(s) >= 2 and s[1] != "~":
+        n = 0
+        for c in s[1:4]:
+            n = (n << 6) | (ord(c) - 63)
+        return n, 4
+    n = 0
+    for c in s[2:8]:
+        n = (n << 6) | (ord(c) - 63)
+    return n, 8
+
+
+def reference_to_graph6(g):
+    bits = []
+    for v in range(1, g.n):
+        col = g.adj[v]
+        for u in range(v):
+            bits.append(1 if col & (1 << u) else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    chunks = []
+    for i in range(0, len(bits), 6):
+        val = 0
+        for b in bits[i : i + 6]:
+            val = (val << 1) | b
+        chunks.append(chr(val + 63))
+    return reference_g6_encode_n(g.n) + "".join(chunks)
+
+
+def reference_from_graph6(s):
+    """Decode a well-formed graph6 line; the parent's checks are not kept."""
+    n, consumed = reference_g6_decode_n(s)
+    bits = []
+    for c in s[consumed:]:
+        val = ord(c) - 63
+        for s6 in (5, 4, 3, 2, 1, 0):
+            bits.append((val >> s6) & 1)
+    rows = [0] * n
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[i]:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            i += 1
+    return Graph(n, rows, validate=False)
+
+
 def naive_has_triangle(g):
     # cubic scan over vertex triples, no bit tricks
     for a in range(g.n):
@@ -239,6 +302,31 @@ class TestGraph6:
             g = from_graph6(s)
             assert sorted(g.edges()) == sorted(h.edges())
 
+    def test_matches_per_bit_reference(self):
+        rng = random.Random(384)
+        for n in [*range(71), 100, 258, 384]:
+            for p in (0, 0.05, 0.3, 0.7, 1):
+                g = random_graph(n, p, rng)
+                s = to_graph6(g)
+                assert s == reference_to_graph6(g), (n, p)
+                assert reference_from_graph6(s) == g
+                assert from_graph6(s) == g
+
+    def test_long_size_field_vs_networkx(self):
+        rng = random.Random(63)
+        for n in (63, 100, 384):
+            for p in (0.05, 0.5):
+                g = random_graph(n, p, rng)
+                s = to_graph6(g)
+                assert s[0] == "~" and g.edge_count > 0
+                h = nx.empty_graph(n)
+                h.add_edges_from(g.edges())
+                assert nx.to_graph6_bytes(h, header=False).decode().strip() == s
+                h = nx.from_graph6_bytes(s.encode())
+                assert h.number_of_nodes() == n
+                assert sorted(h.edges()) == sorted(g.edges())
+                assert from_graph6(s) == g
+
     def test_three_size_field_forms(self):
         for n in (0, 1, 62, 63, 100, 5000):
             g = Graph.empty(n)
@@ -250,6 +338,23 @@ class TestGraph6:
     def test_bad_body_length(self):
         with pytest.raises(GraphFormatError):
             from_graph6("D?")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            ">?",  # size character below "?", read as n = -1 by plain arithmetic
+            "<p",  # n = -3
+            ";uk",  # n = -4
+            "8trTMK",  # n = -7
+            "~??>?",  # the 3-character size field, read as n = -1
+            "~Ku<F",  # n = -3
+            "~~?????>?",  # the 6-character size field, read as n = -1
+            pytest.param("\x7f" + "?" * 336, id="above-tilde"),  # read as n = 64
+        ],
+    )
+    def test_size_field_characters_are_checked(self, line):
+        with pytest.raises(GraphFormatError, match="invalid graph6 character"):
+            from_graph6(line)
 
     def test_nonzero_padding_rejected(self):
         # n=2 uses 1 data bit; force a padding bit on
