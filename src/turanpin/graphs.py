@@ -396,15 +396,18 @@ def write_graph(g: Graph, path, fmt: str | None = None) -> None:
 
 
 def read_graph(path, fmt: str | None = None) -> Graph:
-    """Read a graph file; format inferred from the extension unless given."""
+    """Read a graph file; format inferred from the extension unless given.
+
+    A graph6 file must hold exactly one graph: one non-empty line.
+    """
     fmt = fmt or _infer_format(path)
     with open(path) as fh:
         text = fh.read()
     if fmt == "graph6":
-        for line in text.splitlines():
-            if line.strip():
-                return from_graph6(line)
-        raise GraphFormatError(f"no graph6 line in {path}")
+        lines = [line for line in text.splitlines() if line.strip()]
+        if len(lines) != 1:
+            raise GraphFormatError(f"{path} holds {len(lines)} graph6 lines, expected one graph")
+        return from_graph6(lines[0])
     if fmt == "edge-list":
         return from_edge_list_text(text)
     raise ValueError(f"unknown graph format {fmt!r}")

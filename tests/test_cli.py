@@ -98,6 +98,18 @@ def test_malformed_graph6_size_field_exits_1(command, tmp_path, capsys, monkeypa
     assert [p.name for p in tmp_path.iterdir()] == ["neg.g6"]
 
 
+@pytest.mark.parametrize("command", ["bounds", "construct", "exact"])
+def test_graph6_file_with_two_graphs_exits_1(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.g6").write_text("B?\nBw\n")  # the empty 3-vertex graph, then a triangle
+    code, out, err = run(capsys, [command, "two.g6"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["two.g6"]
+    (tmp_path / "two.g6").write_text("\nB?\n\n")  # blank lines around one graph are fine
+    assert run(capsys, [command, "two.g6", "--output", "out.json"])[0] == EXIT_OK
+
+
 @pytest.mark.parametrize("pin", [Graph(0), Graph(1), Graph.from_edges(2, [(0, 1)])], ids=["n0", "n1", "n2"])
 def test_bounds_needs_three_vertices_exit_2(pin, g6, capsys):
     for path in (g6("pin.g6", pin), g6("pin.edges", pin)):

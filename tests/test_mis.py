@@ -2,8 +2,8 @@
 
 import math
 import random
-from dataclasses import astuple
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -18,6 +18,7 @@ from turanpin.graphs import (
     star_graph,
 )
 from turanpin.bounds import shearer_floor
+from turanpin.randmodels import derive_rng, triangle_free_process
 from turanpin.mis import (
     DEFAULT_NODE_BUDGET,
     MisResult,
@@ -197,13 +198,13 @@ class TestBudget:
 
     def test_exhausted_count_equals_budget(self):
         g = random_graph(60, 0.1, random.Random(5))
-        r = max_independent_set(g, budget=100)
-        assert r.budget_exhausted and r.nodes_explored == 100
+        r = max_independent_set(g, budget=50)  # the full search takes 99 nodes
+        assert r.budget_exhausted and r.nodes_explored == 50
 
     def test_exhaustion_leaves_later_components_at_greedy_seed(self):
         # lowest-index min-degree greedy takes 2 vertices of `small`; alpha is 3
         small = [(0, 1), (0, 5), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5)]
-        big = random_graph(40, 0.15, random.Random(6))  # connected, 67 search nodes
+        big = random_graph(40, 0.15, random.Random(6))  # connected, 59 search nodes
         edges = list(big.edges()) + [(u + off, v + off) for off in (40, 46) for u, v in small]
         g = Graph.from_edges(52, edges)
         assert len(components(g)) == 3
@@ -216,19 +217,77 @@ class TestBudget:
             assert (r.witness & comp).bit_count() == 2
 
 
+def exhaustive_alpha(g):
+    """Alpha by plain take-or-drop branching, memoised on the candidate set; no bounds."""
+    adj = g.adj
+    memo = {0: 0}
+
+    def alpha(cand):
+        if cand not in memo:
+            v = max(iter_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+            nb = adj[v] & cand
+            take = 1 + alpha(cand & ~((1 << v) | nb))
+            # a vertex of degree <= 1 is in some maximum set
+            memo[cand] = take if nb.bit_count() <= 1 else max(take, alpha(cand & ~(1 << v)))
+        return memo[cand]
+
+    return alpha((1 << g.n) - 1)
+
+
+def same_tree_corpus():
+    # long degree-1 chains exercise the peel order; padding adds components
+    extra = [cycle_graph(31, n=40), path_graph(25).padded(33), PETERSEN.padded(14)]
+    return [*reference_corpus(4104, 400), *extra]
+
+
 class TestSameSearchTree:
-    """The incremental-degree search visits exactly the rescanning search's nodes."""
+    """The matching bound prunes other nodes than the reference's clique cover, on the same branching.
+
+    So a search that finishes keeps the reference's set and witness, and
+    one that runs out of budget still brackets alpha.
+    """
 
     def test_matches_rescanning_reference(self):
-        # long degree-1 chains exercise the peel order; padding adds components
-        extra = [cycle_graph(31, n=40), path_graph(25).padded(33), PETERSEN.padded(14)]
         triangles = split = 0
-        for g in [*reference_corpus(4104, 400), *extra]:
+        for g in same_tree_corpus():
             triangles += not is_triangle_free(g)
             split += len(components(g)) > 1
-            for budget in (1, 2, 3, 7, 50, DEFAULT_NODE_BUDGET):
-                assert astuple(max_independent_set(g, budget)) == reference_mis(g, budget), (g.adj, budget)
+            r = max_independent_set(g)
+            assert (r.size, r.witness, r.exact) == reference_mis(g, DEFAULT_NODE_BUDGET)[:3], g.adj
         assert triangles >= 50 and split >= 50
+
+    def test_small_budgets_bracket_alpha(self):
+        for g in same_tree_corpus():
+            alpha = exhaustive_alpha(g)
+            cover = clique_cover_bound(g.adj, (1 << g.n) - 1)
+            for budget in (1, 2, 3, 7, 50):
+                r = max_independent_set(g, budget)
+                assert r.size <= alpha <= r.upper_bound, (g.adj, budget)
+                assert r.witness.bit_count() == r.size
+                assert all(g.adj[v] & r.witness == 0 for v in iter_bits(r.witness))
+                assert r.nodes_explored <= budget and r.exact != r.budget_exhausted
+                if r.exact:
+                    assert r.size == r.upper_bound == alpha
+                else:
+                    assert r.upper_bound <= cover  # never wider than the cover alone
+
+    def test_exhausted_bound_uses_root_matching(self):
+        # a relabelled 9-cycle: the greedy cover has 6 cliques, |C9| - nu = 5
+        perm = [5, 2, 7, 1, 8, 4, 3, 6, 0]
+        g = Graph.from_edges(9, [(perm[i], perm[(i + 1) % 9]) for i in range(9)])
+        assert clique_cover_bound(g.adj, (1 << 9) - 1) == 6
+        r = max_independent_set(g, budget=1)
+        assert r.budget_exhausted and r.as_interval() == (4, 5)
+
+    def test_triangle_free_alpha_matches_networkx(self):
+        for s in range(60):
+            n = 10 + s % 31
+            g = triangle_free_process(n, (7 * s) % (2 * n) + 5, derive_rng(77, s)).graph
+            h = nx.empty_graph(n)
+            h.add_edges_from(g.edges())
+            clique, size = nx.max_weight_clique(nx.complement(h), weight=None)  # alpha = omega(complement)
+            r = max_independent_set(g)
+            assert r.exact and r.size == size == len(clique), s
 
 
 class TestCliqueCover:
