@@ -14,7 +14,6 @@ below floor(n^2/4).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,11 +79,6 @@ def _gamma_terms(p: Graph) -> tuple[int, float, float]:
     return slack, n * (n - 2) / slack, 2 * p.edge_count * (n - 2) / slack
 
 
-def gamma(p: Graph) -> float:
-    """n(n-2) divided by the slack floor(n^2/4) - e - cherries."""
-    return _gamma_terms(p)[1]
-
-
 def upper_bound(p: Graph, alpha: int) -> Fraction:
     """n * alpha / 2, exact.  alpha must be the independence number of p
     or a proven upper bound on it; the result inherits that status."""
@@ -96,8 +90,8 @@ def upper_bound(p: Graph, alpha: int) -> Fraction:
 def lower_bound(p: Graph) -> float:
     """slack * psi(gamma * d) with d the average degree of p.
 
-    Raises GammaUndefinedError exactly when gamma does.  For an empty pin
-    this returns floor(n^2/4) exactly.
+    Raises GammaUndefinedError exactly when gamma is undefined.  For an
+    empty pin this returns floor(n^2/4) exactly.
     """
     slack, _, psi_arg = _gamma_terms(p)
     return slack * psi(psi_arg)
@@ -151,9 +145,6 @@ class BoundsReport:
             "lower_bound": self.lower_bound,
             "lower_bound_defined": self.lower_bound_defined,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def bounds_report(p: Graph, mis_budget: int = DEFAULT_NODE_BUDGET) -> BoundsReport:

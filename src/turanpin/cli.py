@@ -24,6 +24,7 @@ import math
 import os
 import statistics
 import sys
+from contextlib import contextmanager
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -162,10 +163,25 @@ def _require_triangle_free(g: Graph) -> None:
         )
 
 
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while writing ``path`` as a file error (exit 1)."""
+    try:
+        yield
+    except OSError as err:
+        raise CliError(EXIT_USAGE, f"cannot write {path}: {err}") from err
+
+
 def _resolve_outdir(flag_value: str | None) -> Path:
     out = Path(flag_value or os.environ.get(OUTPUT_DIR_ENV) or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_text(path, text: str) -> None:
+    with _writing(path):
+        Path(path).write_text(text)
 
 
 def _dump_json(payload: dict) -> str:
@@ -174,8 +190,8 @@ def _dump_json(payload: dict) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
-    else:
+        _write_text(output, text)
+    else:  # a closed stdout stays a BrokenPipeError, which exits 0
         sys.stdout.write(text)
 
 
@@ -199,6 +215,7 @@ def cmd_bounds(args) -> int:
 def cmd_construct(args) -> int:
     g = _load_pin(args.graph, args.format)
     _require_triangle_free(g)
+    outdir = _resolve_outdir(args.output_dir)
     result = construct_admissible(
         g,
         mode=args.mode,
@@ -206,8 +223,9 @@ def cmd_construct(args) -> int:
         rng=derive_rng(args.seed),
         mis_budget=args.mis_budget,
     )
-    outdir = _resolve_outdir(args.output_dir)
-    g6_path, cert_path = write_construction(result, g, str(outdir / args.prefix))
+    prefix = str(outdir / args.prefix)
+    with _writing(f"{prefix}.*"):
+        g6_path, cert_path = write_construction(result, g, prefix)
     summary = {
         "n": result.g.n,
         "pin_edges": g.edge_count,
@@ -428,6 +446,7 @@ def cmd_scaling(args) -> int:
         for d_idx, d in enumerate(cfg.d_values)
         for t in range(cfg.trials)
     ]
+    outdir = _resolve_outdir(cfg.output_dir)
     results = _run_trials(specs, cfg.jobs, _scaling_trial)
     rows = sorted(
         (payload for kind, payload in results if kind == "row"),
@@ -440,19 +459,18 @@ def cmd_scaling(args) -> int:
     for f in failures:
         print(f"trial failed (n={f['n']}, d={f['d']}, trial={f['trial']}): {f['error']}", file=sys.stderr)
 
-    outdir = _resolve_outdir(cfg.output_dir)
     csv_path = outdir / f"{cfg.prefix}.csv"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
         writer.writerow([_csv_cell(r[c]) for c in CSV_COLUMNS])
-    csv_path.write_text(buf.getvalue())
+    _write_text(csv_path, buf.getvalue())
 
     summary = _scaling_summary(cfg, rows, failures)
     summary_path = outdir / f"{cfg.prefix}.summary.json"
     summary_text = _dump_json(summary)
-    summary_path.write_text(summary_text)
+    _write_text(summary_path, summary_text)
     summary["csv_path"] = str(csv_path)
     summary["summary_path"] = str(summary_path)
     sys.stdout.write(_dump_json(summary))
@@ -467,7 +485,7 @@ def cmd_worst_case(args) -> int:
     rows_path = outdir / f"{args.prefix}.rows.jsonl"
     rows = []
     try:
-        with open(rows_path, "w") as fh:
+        with _writing(rows_path), open(rows_path, "w") as fh:
             for row in iter_worst_case_rows(args.m, args.n, budget=args.budget):
                 fh.write(row.to_json_line() + "\n")
                 rows.append(row)
@@ -533,13 +551,13 @@ def cmd_sample(args) -> int:
         (args.model, n, size, None, t, args.seed, args.mis_budget, args.chain_steps)
         for t in range(args.trials)
     ]
+    outdir = _resolve_outdir(args.output_dir)
     results = _run_trials(specs, args.jobs, _sample_trial)
 
-    outdir = _resolve_outdir(args.output_dir)
     g6_path = outdir / f"{args.prefix}.g6"
     stats_path = outdir / f"{args.prefix}.stats.jsonl"
-    g6_path.write_text("".join(line + "\n" for line, _ in results))
-    stats_path.write_text("".join(line + "\n" for _, line in results))
+    _write_text(g6_path, "".join(line + "\n" for line, _ in results))
+    _write_text(stats_path, "".join(line + "\n" for _, line in results))
     payload = {
         "model": args.model,
         "n": n,

@@ -77,16 +77,6 @@ def b2_neighbors(p: Graph, e1: Pair) -> list[Pair]:
     return sorted(_b2(p, *_pair(e1, p.n)))
 
 
-def b2_edge_total(p: Graph) -> int:
-    """Edge count of the full pair-conflict graph, summed over all pairs.
-
-    Each p-edge contributes one conflict per outside vertex, so this comes
-    out to e(p) * (n - 2); kept as a computed quantity so tests can compare
-    against that closed form instead of assuming it.
-    """
-    return sum(len(_b2(p, u, v)) for u in range(p.n) for v in range(u + 1, p.n)) // 2
-
-
 @dataclass(frozen=True)
 class AuxSlice:
     """Conflict graph restricted to surviving candidate pairs.

@@ -150,6 +150,8 @@ def construct_admissible(
     splits = [balanced_bipartition(n)]
     splits += [_random_balanced_masks(n, rng) for _ in range(bipartitions)]
 
+    # slice pairs are never pin edges, so e(P + I) = e(P) + |I|: the split
+    # with the largest I wins (the first on ties), and only its graph is built
     best = None
     for left, right in splits:
         sl = build_aux_slice(p, crossing_pairs(left, right, n))
@@ -159,12 +161,11 @@ def construct_admissible(
             mask, exact = res.witness, res.exact
         else:
             mask, exact = greedy_independent_set(sg, rng), False
-        g = p.with_edges(sl.pairs_from_mask(mask))
-        cand = (g.edge_count, g, mask.bit_count(), sl, exact)
-        if best is None or cand[0] > best[0]:
-            best = cand
+        if best is None or mask.bit_count() > best[0]:
+            best = (mask.bit_count(), mask, sl, exact)
 
-    _, g, i_size, sl, exact = best
+    i_size, mask, sl, exact = best
+    g = p.with_edges(sl.pairs_from_mask(mask))
     sp = len(sl.s_prime)
     avg = 2 * sl.slice_edge_count() / sp if sp else 0.0
     floor = formula_floor(p) if n >= 3 else None

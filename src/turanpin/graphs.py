@@ -7,10 +7,8 @@ machine ops for n <= 64 and word-parallel beyond.
 
 Graphs are immutable after construction and safe to share across workers.
 A vertex pair {u, v} is the tuple (u, v) with u < v; sorting such tuples
-gives lexicographic order.  The flat "pair index" (the position of (u, v) in
-that order) is only the sampling coordinate of ``randmodels``: the index
-draws of its samplers and the addition order a process run reports as its
-``trace``.
+gives lexicographic order.  There are ``pair_count(n)`` = C(n, 2) of them,
+which is also the number of bits a graph6 body encodes.
 """
 
 from __future__ import annotations
@@ -91,14 +89,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & (1 << v))
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.adj[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -131,36 +123,8 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-# ---------------------------------------------------------------------------
-# Pair indexing, the samplers' coordinate: (u, v) with u < v  <->  flat index
-# in [0, n(n-1)/2)
-
-
-def pair_to_index(u: int, v: int, n: int) -> int:
-    """Flat index of the unordered pair {u, v}, lexicographic in (u, v)."""
-    if u > v:
-        u, v = v, u
-    if u == v or v >= n or u < 0:
-        raise ValueError(f"invalid pair ({u}, {v}) for n={n}")
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-def index_to_pair(k: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_to_index`."""
-    total = n * (n - 1) // 2
-    if not 0 <= k < total:
-        raise ValueError(f"pair index {k} out of range for n={n}")
-    # u is the largest value with u*n - u(u+1)/2 <= k; isqrt gets within one.
-    disc = (2 * n - 1) ** 2 - 8 * k
-    u = (2 * n - 1 - math.isqrt(disc)) // 2
-    while u * n - u * (u + 1) // 2 > k:
-        u -= 1
-    while (u + 1) * n - (u + 1) * (u + 2) // 2 <= k:
-        u += 1
-    v = k - (u * n - u * (u + 1) // 2) + u + 1
-    return (u, v)
-
-
 def pair_count(n: int) -> int:
+    """C(n, 2): the number of vertex pairs."""
     return n * (n - 1) // 2
 
 

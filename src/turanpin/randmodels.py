@@ -7,42 +7,55 @@ Three generators share a seedable numpy RNG discipline:
   * independent-coin random graphs (not triangle-free in general, kept for
     degree/independence comparisons);
   * a fixed-edge-count uniform sampler over triangle-free graphs, realized
-    by a Metropolis edge-swap chain, with an exact rejection sampler at
-    n <= 7 as the gold standard.
+    by a Metropolis edge-swap chain.
 
 ``draw`` runs any of them by model name, with one size parameter each
 (step count, edge count or edge probability); ``size_for_degree`` turns a
 target average degree into that size.  Per-trial generators derive from a
 master seed and index path through numpy's SeedSequence, so parallel trials
 reproduce bit for bit.
+
+The samplers draw vertex pairs by their flat "pair index": the position of
+(u, v), u < v, in lexicographic order, so pair k of n vertices is
+``index_to_pair(k, n)``.  It is the coordinate of their index draws and of
+the addition order a process run reports as its ``trace``; outside this
+module a pair is the tuple (u, v).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from turanpin.graphs import (
-    Graph,
-    complete_bipartite,
-    index_to_pair,
-    pair_count,
-)
+from turanpin.graphs import Graph, complete_bipartite, pair_count
 from turanpin.mis import DEFAULT_NODE_BUDGET, max_independent_set
 
 TO_COMPLETION = "to-completion"
 
 MODELS = ("process", "uniform-tf", "erdos-renyi")
 
-_REJECTION_MAX_N = 7
-_REJECTION_MAX_TRIES = 10**7
-
 # proposals drawn per RNG batch; it fixes how the edge and non-edge draws
 # interleave in the stream, so changing it changes every chain's output
 _CHAIN_BATCH = 4096
+
+
+def index_to_pair(k: int, n: int) -> tuple[int, int]:
+    """The pair (u, v), u < v, at flat index k = u*n - u(u+1)/2 + v - u - 1."""
+    if not 0 <= k < pair_count(n):
+        raise ValueError(f"pair index {k} out of range for n={n}")
+    # u is the largest value with u*n - u(u+1)/2 <= k; isqrt gets within one.
+    disc = (2 * n - 1) ** 2 - 8 * k
+    u = (2 * n - 1 - math.isqrt(disc)) // 2
+    while u * n - u * (u + 1) // 2 > k:
+        u -= 1
+    while (u + 1) * n - (u + 1) * (u + 2) // 2 <= k:
+        u += 1
+    v = k - (u * n - u * (u + 1) // 2) + u + 1
+    return (u, v)
 
 
 def derive_rng(master_seed: int, *indices: int) -> np.random.Generator:
@@ -111,7 +124,8 @@ class ProcessState:
                 w = low.bit_length() - 1
                 open_rows[w] ^= bit_a
                 lo, hi = (a, w) if a < w else (w, a)
-                closed.append(lo * n - lo * (lo + 1) // 2 + hi - lo - 1)  # pair_to_index(lo, hi, n)
+                # the flat index of (lo, hi); pair_to_index in tests/references.py
+                closed.append(lo * n - lo * (lo + 1) // 2 + hi - lo - 1)
         for j in closed:
             s = slot[j]
             last = open_pairs.pop()
@@ -152,7 +166,7 @@ def triangle_free_process(n: int, steps=TO_COMPLETION, rng=None) -> ProcessRun:
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    to_end = steps == TO_COMPLETION or steps is None
+    to_end = steps == TO_COMPLETION
     if not to_end:
         steps = int(steps)
         if not 0 <= steps <= pair_count(n):
@@ -309,53 +323,6 @@ def draw(model: str, n: int, size, rng, chain_steps: int | None = None) -> Graph
     if model == "erdos-renyi":
         return erdos_renyi(n, size, rng)
     raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-
-
-def _triangle_free_rows(n: int, pair_ids) -> list[int] | None:
-    """Adjacency rows of the graph on these pair indices; None once one closes a triangle."""
-    rows = [0] * n
-    for k in pair_ids:
-        u, v = index_to_pair(int(k), n)
-        if rows[u] & rows[v]:
-            return None
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
-
-
-def exact_rejection_sample(n: int, edges: int, rng=None) -> Graph:
-    """Exactly uniform: draw edge sets uniformly, accept iff triangle-free.
-
-    Only for n <= 7, where acceptance stays workable; the Metropolis chain
-    is validated against this sampler and against full enumeration.
-    """
-    if n > _REJECTION_MAX_N:
-        raise ValueError(f"rejection sampling is limited to n <= {_REJECTION_MAX_N}")
-    cap = (n * n) // 4
-    if not 0 <= edges <= cap:
-        raise ValueError(f"no triangle-free graph on {n} vertices has {edges} edges (max {cap})")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    total = pair_count(n)
-    for _ in range(_REJECTION_MAX_TRIES):
-        rows = _triangle_free_rows(n, rng.choice(total, size=edges, replace=False))
-        if rows is not None:
-            return Graph(n, rows, validate=False)
-    raise RuntimeError("rejection sampler exceeded its retry limit")
-
-
-def enumerate_labeled_triangle_free(n: int, edges: int):
-    """Yield every labeled triangle-free graph with the given edge count."""
-    if n > _REJECTION_MAX_N:
-        raise ValueError(f"exhaustive enumeration is limited to n <= {_REJECTION_MAX_N}")
-    for combo in itertools.combinations(range(pair_count(n)), edges):
-        rows = _triangle_free_rows(n, combo)
-        if rows is not None:
-            yield Graph(n, rows, validate=False)
-
-
-def count_labeled_triangle_free(n: int, edges: int) -> int:
-    return sum(1 for _ in enumerate_labeled_triangle_free(n, edges))
 
 
 @dataclass(frozen=True)

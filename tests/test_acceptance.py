@@ -21,7 +21,7 @@ from scipy import stats as scipy_stats
 
 from turanpin.bounds import GammaUndefinedError, lower_bound, psi
 from turanpin.cli import main
-from turanpin.conflict import build_aux_slice, build_b1, b2_edge_total
+from turanpin.conflict import build_aux_slice, build_b1
 from turanpin.construct import certify, construct_admissible
 from turanpin.graphs import (
     Graph,
@@ -30,7 +30,6 @@ from turanpin.graphs import (
     crossing_pairs,
     cycle_graph,
     from_graph6,
-    index_to_pair,
     is_triangle_free,
     pair_count,
     star_graph,
@@ -42,11 +41,16 @@ from turanpin.oracle import canonical_key, exact_ex
 from turanpin.randmodels import (
     MetropolisChain,
     _bipartite_seed,
-    count_labeled_triangle_free,
     derive_rng,
+    index_to_pair,
+    triangle_free_process,
+)
+
+from references import (
+    b2_edge_total,
+    count_labeled_triangle_free,
     enumerate_labeled_triangle_free,
     exact_rejection_sample,
-    triangle_free_process,
 )
 
 FLOAT_TOL = 1e-9  # slack for float-vs-int comparisons throughout

@@ -12,8 +12,8 @@ import pytest
 from turanpin.bounds import (
     BoundsReport,
     GammaUndefinedError,
+    _gamma_terms,
     bounds_report,
-    gamma,
     lower_bound,
     psi,
     upper_bound,
@@ -102,22 +102,22 @@ class TestPsi:
 
 class TestGamma:
     def test_single_edge_n6(self):
-        assert gamma(Graph.from_edges(6, [(0, 1)])) == 3.0
+        assert _gamma_terms(Graph.from_edges(6, [(0, 1)]))[1] == 3.0
 
     def test_empty_n4(self):
-        assert gamma(Graph.empty(4)) == 2.0
+        assert _gamma_terms(Graph.empty(4))[1] == 2.0
 
     def test_c5_is_undefined(self):
         # e + cherries = 5 + 5 = 10 >= floor(25/4) = 6
         with pytest.raises(GammaUndefinedError) as exc:
-            gamma(cycle_graph(5))
+            _gamma_terms(cycle_graph(5))
         assert exc.value.excess == 4
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
-            gamma(Graph.empty(1))
+            _gamma_terms(Graph.empty(1))
         # n = 2 is the smallest admitted size: slack 1, gamma 0
-        assert gamma(Graph.empty(2)) == 0.0
+        assert _gamma_terms(Graph.empty(2))[1] == 0.0
 
 
 class TestUpperBound:
@@ -191,7 +191,7 @@ class TestReport:
         import json
 
         rep = bounds_report(complete_bipartite(2, 3, n=7))
-        d = json.loads(rep.to_json())
+        d = json.loads(json.dumps(rep.to_json_dict()))
         assert d["n"] == 7
         assert d["upper_bound"]["denominator"] >= 1
         assert d["alpha_exact"] is True

@@ -608,3 +608,50 @@ def test_complete_bipartite_sanity_for_cli_fixtures():
     # the fixtures above lean on K_{3,3} being the unique 9-edge output at n=6
     g = complete_bipartite(3, 3)
     assert g.edge_count == 9 and sorted(g.degrees()) == [3] * 6
+
+
+# ------------------------------------------------------------- output paths
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started its work before checking its output path")
+
+
+@pytest.mark.parametrize("target", ["taken", "taken/sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["construct", "sample", "scaling", "scaling-config", "worst-case"])
+def test_output_dir_that_is_no_directory_exits_1(command, target, g6, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for work in ("draw", "construct_admissible", "iter_worst_case_rows"):
+        monkeypatch.setattr(f"turanpin.cli.{work}", _no_work)
+    (tmp_path / "taken").write_text("a regular file\n")
+    (tmp_path / "cfg.txt").write_text(f"n_values = 8\nd_values = 2\noutput_dir = {target}\n")
+    argv = {
+        "construct": ["construct", g6("pin.g6", star_graph(2, n=5)), "--output-dir", target],
+        "sample": ["sample", "--model", "process", "--n", "8", "--output-dir", target],
+        "scaling": ["scaling", "--n-values", "8", "--d-values", "2", "--output-dir", target],
+        "scaling-config": ["scaling", "--config", "cfg.txt"],
+        "worst-case": ["worst-case", "2", "5", "--output-dir", target],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1 and "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "a regular file\n"
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["bounds", "exact"])
+def test_output_file_that_cannot_be_written_exits_1(command, target, g6, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, [command, g6("pin.g6", Graph(5)), "--output", target])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_closed_stdout_exits_0(g6, capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["bounds", g6("pin.g6", Graph(5))]) == EXIT_OK

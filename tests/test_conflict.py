@@ -7,7 +7,6 @@ import pytest
 
 from turanpin.conflict import (
     AuxSlice,
-    b2_edge_total,
     b2_neighbors,
     build_aux_slice,
     build_b1,
@@ -26,6 +25,8 @@ from turanpin.graphs import (
     path_graph,
     star_graph,
 )
+
+from references import b2_edge_total
 
 
 def random_triangle_free(n, rng, tries=200):

@@ -1,7 +1,9 @@
 """Import layering of the package: module imports form a DAG, all at top level."""
 
 import ast
+from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 
 def _parsed_modules() -> dict[str, ast.Module]:
@@ -85,9 +87,71 @@ def test_cli_draws_graphs_only_through_randmodels_draw():
 
 def test_pair_index_stays_in_the_samplers():
     # pairs are (u, v) tuples outside randmodels; the flat index is its
-    # sampling coordinate only
+    # sampling coordinate only, and graphs keeps just the pair count
     index_names = {"pair_to_index", "index_to_pair", "pair_count", "edge_indices"}
     modules = _parsed_modules()
     for name in ("conflict", "construct", "oracle"):
         used = _used_names(modules[name]) & index_names
         assert not used, f"{name} uses {sorted(used)}"
+    graphs = modules["graphs"]
+    defined = {node.name for node in graphs.body if isinstance(node, ast.FunctionDef)}
+    extra = (_used_names(graphs) | defined) & index_names - {"pair_count"}
+    assert not extra, f"graphs defines or uses {sorted(extra)}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the code that can reach the package: the package itself, the demos and the benchmark
+_REACHING_DIRS = ("src", "demos", "perfbench")
+
+
+def _reference_names(tree: ast.AST) -> Counter:
+    """Names a tree reads as a Name or Attribute, imports, or spells as a string."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs[node.value] += 1
+    return refs
+
+
+def _assigned_names(node) -> list[str]:
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(label, name, node) for every top-level def, class and assignment of a
+    module, and every method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{module}.{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in _assigned_names(node):
+                yield f"{module}.{name}", name, node
+
+
+def test_every_package_definition_is_reached_outside_the_tests():
+    # nothing in src/ exists only for its tests: each definition is used,
+    # outside its own body, by the package, a demo or the benchmark
+    refs = Counter()
+    for top in _REACHING_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            refs += _reference_names(ast.parse(path.read_text()))
+    unused = []
+    for path in sorted((ROOT / "src" / "turanpin").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for label, name, node in _definitions(path.stem, tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if refs[name] - _reference_names(node)[name] <= 0:
+                unused.append(label)
+    assert not unused, f"defined in src/ but reached only by tests: {unused}"

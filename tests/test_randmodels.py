@@ -12,11 +12,9 @@ from scipy import stats
 from turanpin.graphs import (
     Graph,
     complete_bipartite,
-    index_to_pair,
     is_triangle_free,
     iter_bits,
     pair_count,
-    pair_to_index,
 )
 from turanpin.randmodels import (
     TO_COMPLETION,
@@ -24,14 +22,19 @@ from turanpin.randmodels import (
     ProcessState,
     SampleStats,
     _bipartite_seed,
-    count_labeled_triangle_free,
     derive_rng,
-    enumerate_labeled_triangle_free,
     erdos_renyi,
-    exact_rejection_sample,
+    index_to_pair,
     model_stats,
     sample_uniform_triangle_free,
     triangle_free_process,
+)
+
+from references import (
+    count_labeled_triangle_free,
+    enumerate_labeled_triangle_free,
+    exact_rejection_sample,
+    pair_to_index,
 )
 
 
@@ -231,9 +234,8 @@ def run_is_maximal(g: Graph) -> bool:
 def test_process_to_completion_spellings_agree():
     a = triangle_free_process(9, rng=derive_rng(17))
     b = triangle_free_process(9, steps="to-completion", rng=derive_rng(17))
-    c = triangle_free_process(9, steps=None, rng=derive_rng(17))
-    assert a.graph.adj == b.graph.adj == c.graph.adj
-    assert a.trace == b.trace == c.trace
+    assert a.graph.adj == b.graph.adj
+    assert a.trace == b.trace
 
 
 def test_process_determinism_and_seed_sensitivity():
